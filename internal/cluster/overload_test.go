@@ -221,3 +221,26 @@ func TestClusterOverloadValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterSharedWaiterEviction is a regression test for a crash under
+// overload: several demand reads wait on one in-transit block, the block's
+// completion wakes them in turn, and the first waiter's reply triggers its
+// client's next read, which evicted the block before a later waiter touched
+// it ("cache: Touch of block N in bad state"). The population is four
+// shards' worth of open-loop clients offered above capacity.
+func TestClusterSharedWaiterEviction(t *testing.T) {
+	pop, err := clients.Generate(clients.Config{
+		N: 192, Sessions: 8,
+		Files: 64, FileBlocks: 64, BlockSize: 8192,
+		SessionBlocks: 32, ReadBlocks: 4,
+		ArrivalMean: 1_000_000, ThinkMean: 20_000,
+		ZipfS: 1.01, ZipfV: 1, Seed: 1777,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := runOverload(t, OverloadConfig(4), pop)
+	if got := res.Reads + res.FailedReads; got < pop.TotalReads {
+		t.Errorf("reads %d + failed %d < total %d: ops vanished", res.Reads, res.FailedReads, pop.TotalReads)
+	}
+}

@@ -1157,7 +1157,15 @@ func (c *Client) Read(f *fsim.File, off, n int64, hinted bool, done func(err err
 	// distance while fresh prefetches evict each other at the horizon tail.
 	// Protection held by a *different* client survives — that client has
 	// its own read coming.
+	//
+	// A completion wakes its waiters one after another, and an earlier
+	// waiter's continuation (a reply, then that client's next read) can
+	// evict the block before a later waiter touches it. The data was
+	// delivered at completion all the same; only the touch is moot.
 	touchConsumed := func(lb int64) {
+		if blk := m.cache.Get(lb); blk == nil || blk.State() != cache.Valid {
+			return
+		}
 		m.cache.Touch(lb)
 		c.unprotect(lb)
 	}
