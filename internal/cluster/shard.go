@@ -25,6 +25,7 @@ package cluster
 import (
 	"fmt"
 
+	"spechint/internal/core"
 	"spechint/internal/disk"
 	"spechint/internal/fsim"
 	"spechint/internal/obs"
@@ -135,18 +136,14 @@ type shard struct {
 // files reference, not copy, their data), so per-shard memory stays flat as
 // the corpus grows.
 func newShard(id int, clk *sim.Queue, cfg *Config, corpus []byte) (*shard, error) {
-	arr, err := disk.New(clk, cfg.Disk)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: shard %d disk: %w", id, err)
-	}
 	fs := fsim.New(int(cfg.Clients.BlockSize))
-	tm, err := tip.New(clk, arr, fs, cfg.TIP)
+	sub, err := core.NewSubstrate(clk, cfg.Disk, cfg.TIP, fs)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: shard %d tip: %w", id, err)
+		return nil, fmt.Errorf("cluster: shard %d: %w", id, err)
 	}
 	s := &shard{
 		id: id, clk: clk, cfg: cfg,
-		fs: fs, arr: arr, tm: tm,
+		fs: fs, arr: sub.Arr, tm: sub.TIP,
 		files:  make([]*fsim.File, cfg.Clients.Files),
 		sess:   make(map[SessionKey]*tip.Client),
 		served: make(map[SessionKey]bool),

@@ -453,12 +453,13 @@ func (sub *Substrate) InstallFaults(p *fault.Plan) {
 	sub.Arr.SetInjector(p)
 }
 
-// NewSubstrate assembles a substrate over fs from disk and TIP configuration.
-func NewSubstrate(diskCfg disk.Config, tipCfg tip.Config, fs *fsim.FS) (*Substrate, error) {
+// NewSubstrate assembles a substrate on clk over fs from disk and TIP
+// configuration. Each process group gets a clock of its own; the cluster's
+// shards share one.
+func NewSubstrate(clk *sim.Queue, diskCfg disk.Config, tipCfg tip.Config, fs *fsim.FS) (*Substrate, error) {
 	if fs.BlockSize() != diskCfg.BlockSize {
 		return nil, fmt.Errorf("core: fs block size %d != disk block size %d", fs.BlockSize(), diskCfg.BlockSize)
 	}
-	clk := sim.NewQueue()
 	arr, err := disk.New(clk, diskCfg)
 	if err != nil {
 		return nil, err
@@ -484,13 +485,10 @@ type System struct {
 	name  string // label in multiprogramming diagnostics
 	owned bool   // the substrate is private to this System
 
-	// preempt, when set, overrides the strict-priority preemption test for
-	// the speculating thread: speculation yields mid-slice when it returns
-	// true. The default is "this System's original thread became Ready";
-	// the multiprogramming scheduler widens it to "any original thread
-	// became Ready", preserving the paper's contract that speculation uses
-	// only globally idle cycles.
-	preempt func() bool
+	// peers is the group the scheduler runs this System in (itself alone
+	// in a solo run): speculation yields the moment any of their original
+	// threads becomes Ready.
+	peers []*System
 
 	orig    *vm.Thread
 	spec    *vm.Thread
@@ -520,7 +518,6 @@ type System struct {
 	watchdogErr   error      // fatal inconsistency caught by the deadlock watchdog
 
 	stats           RunStats
-	final           *RunStats // cached by Finalize
 	lastOrigReadAt  int64
 	lastSpecHintAt  int64
 	sawSpecHint     bool
@@ -535,7 +532,7 @@ func New(cfg Config, prog *vm.Program, fs *fsim.FS) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sub, err := NewSubstrate(cfg.Disk, cfg.TIP, fs)
+	sub, err := NewSubstrate(sim.NewQueue(), cfg.Disk, cfg.TIP, fs)
 	if err != nil {
 		return nil, err
 	}
@@ -631,30 +628,14 @@ func (s *System) issueStaticHints() {
 	}
 }
 
-// Clock exposes the simulation clock (tests, tools).
-func (s *System) Clock() *sim.Queue { return s.clk }
-
-// TIP exposes the prefetching manager (tests, tools).
-func (s *System) TIP() *tip.Manager { return s.tip }
-
-// TIPClient exposes this process's hint stream (the multiprogramming layer
-// closes it when the process exits).
-func (s *System) TIPClient() *tip.Client { return s.tipc }
-
-// Name returns the label given at NewOn ("app" for a private System).
-func (s *System) Name() string { return s.name }
-
-// SetPreempt overrides the speculating thread's mid-slice preemption test;
-// see the preempt field. Pass nil to restore the default.
-func (s *System) SetPreempt(fn func() bool) { s.preempt = fn }
-
-// preemptNow reports whether speculation must yield the CPU immediately.
+// preemptNow reports whether speculation must yield the CPU immediately:
+// strict priority holds across the whole group, so any original thread
+// becoming Ready preempts it.
 func (s *System) preemptNow() bool {
-	if s.preempt != nil {
-		return s.preempt()
+	for _, p := range s.peers {
+		if p.orig.State == vm.Ready {
+			return true
+		}
 	}
-	return s.orig.State == vm.Ready
+	return false
 }
-
-// Output returns everything the program printed.
-func (s *System) Output() string { return s.out.String() }

@@ -4,8 +4,9 @@
 // TIP manager and block cache), which is the regime the paper's TIP was
 // actually built for.
 //
-// Scheduling is deterministic round-robin over the original threads with a
-// fixed CPU quantum. Speculating threads preserve the paper's strict-priority
+// The group is scheduled by core.RunGroup, the same loop that runs a solo
+// System: deterministic round-robin over the original threads with a fixed
+// CPU quantum. Speculating threads preserve the paper's strict-priority
 // contract *globally*: speculation consumes cycles only when every original
 // thread in the group is blocked, and it is preempted mid-slice the moment
 // any original thread wakes. Each process holds its own TIP client, so hint
@@ -16,7 +17,6 @@ package multi
 
 import (
 	"fmt"
-	"strings"
 
 	"spechint/internal/apps"
 	"spechint/internal/cache"
@@ -81,22 +81,14 @@ func DefaultConfig() Config {
 	}
 }
 
-// proc is one scheduled process.
-type proc struct {
-	spec  ProcSpec
-	name  string
-	sys   *core.System
-	stats *core.RunStats // set when the process exits
-}
-
-// Group is a configured multiprogramming run.
+// Group is a configured multiprogramming run: the shared substrate and one
+// core.System per process, which core.RunGroup schedules.
 type Group struct {
 	cfg   Config
 	sub   *core.Substrate
-	procs []*proc
-
-	rrOrig int // round-robin pointers (original threads, speculating threads)
-	rrSpec int
+	specs []ProcSpec
+	names []string
+	procs []*core.System
 }
 
 // NewGroup builds the shared substrate, lays each process's workload onto
@@ -115,7 +107,7 @@ func NewGroup(cfg Config, scale apps.Scale, specs []ProcSpec) (*Group, error) {
 
 	fs := fsim.New(cfg.Disk.BlockSize)
 	workload.SetBenchLayout(fs)
-	sub, err := core.NewSubstrate(cfg.Disk, cfg.TIP, fs)
+	sub, err := core.NewSubstrate(sim.NewQueue(), cfg.Disk, cfg.TIP, fs)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +120,7 @@ func NewGroup(cfg Config, scale apps.Scale, specs []ProcSpec) (*Group, error) {
 	if cfg.Obs != nil {
 		sub.InstallObs(cfg.Obs)
 	}
-	g := &Group{cfg: cfg, sub: sub}
+	g := &Group{cfg: cfg, sub: sub, specs: specs}
 
 	for i, spec := range specs {
 		idx := cfg.FirstProcIndex + i
@@ -153,138 +145,30 @@ func NewGroup(cfg Config, scale apps.Scale, specs []ProcSpec) (*Group, error) {
 		if err != nil {
 			return nil, fmt.Errorf("multi: p%d %v: %w", idx, spec, err)
 		}
-		sys.SetPreempt(g.anyOrigReady)
-		g.procs = append(g.procs, &proc{spec: spec, name: name, sys: sys})
+		g.names = append(g.names, name)
+		g.procs = append(g.procs, sys)
 	}
 	return g, nil
 }
 
-// anyOrigReady is the group-wide strict-priority test: speculation must
-// yield whenever ANY original thread can use the CPU.
-func (g *Group) anyOrigReady() bool {
-	for _, p := range g.procs {
-		if !p.sys.Done() && p.sys.OrigReady() {
-			return true
-		}
-	}
-	return false
-}
-
-func (g *Group) allDone() bool {
-	for _, p := range g.procs {
-		if !p.sys.Done() {
-			return false
-		}
-	}
-	return true
-}
-
-// nextReadyOrig picks the next Ready original thread in round-robin order,
-// advancing the pointer past the pick.
-func (g *Group) nextReadyOrig() *proc {
-	n := len(g.procs)
-	for k := 0; k < n; k++ {
-		p := g.procs[(g.rrOrig+k)%n]
-		if !p.sys.Done() && p.sys.OrigReady() {
-			g.rrOrig = (g.rrOrig + k + 1) % n
-			return p
-		}
-	}
-	return nil
-}
-
-// nextRunnableSpec picks the next runnable speculating thread round-robin.
-func (g *Group) nextRunnableSpec() *proc {
-	n := len(g.procs)
-	for k := 0; k < n; k++ {
-		p := g.procs[(g.rrSpec+k)%n]
-		if !p.sys.Done() && p.sys.SpecRunnable() {
-			g.rrSpec = (g.rrSpec + k + 1) % n
-			return p
-		}
-	}
-	return nil
-}
-
-// retire finalizes a process the moment it exits, releasing its hint stream
-// so its cache partition redistributes to the survivors.
-func (g *Group) retire(p *proc) {
-	if p.stats != nil {
-		return
-	}
-	p.stats = p.sys.Finalize()
-	p.sys.TIPClient().Close()
-}
-
-// Run executes the group to completion. Scheduling policy, in priority
-// order every iteration: (1) dispatch due events, (2) the next Ready
-// original thread gets a quantum, (3) only if no original thread anywhere
-// can run, the next runnable speculating thread gets the idle gap, (4)
-// otherwise advance the clock.
+// Run executes the group to completion under the core scheduler with the
+// group's quantum and assembles the result.
 func (g *Group) Run() (*Result, error) {
-	for !g.allDone() {
-		g.cfg.Obs.Tick(g.sub.Clk.Now())
-		if g.cfg.MaxCycles > 0 && int64(g.sub.Clk.Now()) > g.cfg.MaxCycles {
-			return nil, fmt.Errorf("multi: exceeded MaxCycles %d", g.cfg.MaxCycles)
-		}
-
-		budget := g.cfg.Quantum
-		if at, ok := g.sub.Clk.PeekTime(); ok {
-			gap := int64(at - g.sub.Clk.Now())
-			if gap <= 0 {
-				g.sub.Clk.RunTick()
-				continue
-			}
-			if gap < budget {
-				budget = gap
-			}
-		}
-
-		if p := g.nextReadyOrig(); p != nil {
-			if _, err := p.sys.StepOrig(budget); err != nil {
-				return nil, fmt.Errorf("multi: %s: %w", p.name, err)
-			}
-			if p.sys.Done() {
-				g.retire(p)
-			}
-			continue
-		}
-		if p := g.nextRunnableSpec(); p != nil {
-			if _, err := p.sys.StepSpec(budget); err != nil {
-				return nil, fmt.Errorf("multi: %s: %w", p.name, err)
-			}
-			continue
-		}
-		if !g.sub.Clk.RunTick() {
-			return nil, g.diagnoseDeadlock()
-		}
+	stats, err := core.RunGroup(g.procs, g.cfg.Quantum, g.cfg.MaxCycles)
+	if err != nil {
+		return nil, err
 	}
-
 	g.sub.TIP.FinishRun()
 	res := &Result{Makespan: g.sub.Clk.Now()}
 	res.Tip = g.sub.TIP.Stats()
 	res.Cache = g.sub.TIP.Cache().Stats()
 	res.Disk = g.sub.Arr.Stats()
-	for _, p := range g.procs {
+	for i, spec := range g.specs {
 		res.Procs = append(res.Procs, ProcResult{
-			Name: p.name, App: p.spec.App, Mode: p.spec.Mode, Stats: p.stats,
+			Name: g.names[i], App: spec.App, Mode: spec.Mode, Stats: stats[i],
 		})
 	}
 	return res, nil
-}
-
-// diagnoseDeadlock reports the event queue draining with processes still
-// blocked, carrying each live process's own watchdog diagnostic.
-func (g *Group) diagnoseDeadlock() error {
-	var sb strings.Builder
-	sb.WriteString("multi: deadlock — no thread runnable, no pending events\n")
-	for _, p := range g.procs {
-		if p.sys.Done() {
-			continue
-		}
-		fmt.Fprintf(&sb, "%v\n", p.sys.Diagnose("blocked at group deadlock"))
-	}
-	return fmt.Errorf("%s", strings.TrimRight(sb.String(), "\n"))
 }
 
 // ProcResult is one process's outcome. Stats.Elapsed is the process's own

@@ -1,6 +1,7 @@
 package multi
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -198,5 +199,19 @@ func TestGroupFaultContainment(t *testing.T) {
 	b := faulted()
 	if a.Makespan != b.Makespan || a.Disk != b.Disk {
 		t.Errorf("faulted group diverged: makespan %d vs %d", a.Makespan, b.Makespan)
+	}
+}
+
+// TestGroupMaxCyclesIsDeadline: a group that runs past its MaxCycles budget
+// fails with an error that wraps core.ErrDeadline, as a solo run does.
+func TestGroupMaxCyclesIsDeadline(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxCycles = 1_000_000
+	g, err := NewGroup(cfg, apps.TestScale(), mixedSpecs(2, core.ModeSpeculating))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Run(); !errors.Is(err, core.ErrDeadline) {
+		t.Fatalf("error %v does not wrap core.ErrDeadline", err)
 	}
 }
