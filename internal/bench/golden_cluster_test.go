@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"bytes"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -24,24 +22,5 @@ func TestGoldenCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = append(got, '\n')
-	if *updateGolden {
-		if err := os.MkdirAll(goldenDir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(clusterGoldenPath, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(clusterGoldenPath)
-	if err != nil {
-		t.Fatalf("no golden file (run with -update to create it): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s diverged from the golden run (%d bytes vs %d).\n"+
-			"If the change is intentional, re-canonize with:\n"+
-			"  go test ./internal/bench -run GoldenCluster -update\nfirst difference at byte %d",
-			clusterGoldenPath, len(got), len(want), firstDiff(got, want))
-	}
+	checkGolden(t, clusterGoldenPath, append(got, '\n'))
 }

@@ -38,11 +38,7 @@ func goldenStats(t *testing.T, app apps.App, mode core.Mode) []byte {
 	if err != nil {
 		t.Fatalf("%v %v: %v", app, mode, err)
 	}
-	out, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(out, '\n')
+	return goldenJSON(t, st)
 }
 
 // TestGoldenRunStats byte-compares every (app, mode) cell at sweep scale
@@ -56,30 +52,44 @@ func TestGoldenRunStats(t *testing.T) {
 		for _, mode := range goldenModes() {
 			app, mode := app, mode
 			t.Run(fmt.Sprintf("%v/%v", app, mode), func(t *testing.T) {
-				got := goldenStats(t, app, mode)
-				path := goldenPath(app, mode)
-				if *updateGolden {
-					if err := os.MkdirAll(goldenDir, 0o755); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(path, got, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("no golden file (run with -update to create it): %v", err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("%s diverged from the golden run (%d bytes vs %d).\n"+
-						"If the change is intentional, re-canonize with:\n"+
-						"  go test ./internal/bench -run Golden -update\nfirst difference at byte %d",
-						path, len(got), len(want), firstDiff(got, want))
-				}
+				checkGolden(t, goldenPath(app, mode), goldenStats(t, app, mode))
 			})
 		}
 	}
+}
+
+// checkGolden byte-compares got against the committed file at path, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.MkdirAll(goldenDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no golden file (run with -update to create it): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s diverged from the golden run (%d bytes vs %d).\n"+
+			"If the change is intentional, re-canonize with:\n"+
+			"  go test ./internal/bench -run Golden -update\nfirst difference at byte %d",
+			path, len(got), len(want), firstDiff(got, want))
+	}
+}
+
+func goldenJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	out, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, '\n')
 }
 
 // firstDiff returns the index of the first differing byte.

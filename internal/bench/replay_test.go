@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -79,30 +77,11 @@ func TestGoldenReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = append(got, '\n')
-	if *updateGolden {
-		if err := os.MkdirAll(goldenDir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(replayGoldenPath, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(replayGoldenPath)
-	if err != nil {
-		t.Fatalf("no golden file (run with -update to create it): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s diverged from the golden run (%d bytes vs %d).\n"+
-			"If the change is intentional, re-canonize with:\n"+
-			"  go test ./internal/bench -run GoldenReplay -update\nfirst difference at byte %d",
-			replayGoldenPath, len(got), len(want), firstDiff(got, want))
-	}
-	// The canon itself must carry the headline shape: speculation wins on
-	// every modern app and every round trip is exact.
+	checkGolden(t, replayGoldenPath, append(got, '\n'))
+	// The canon, which got now equals, must carry the headline shape:
+	// speculation wins on every modern app and every round trip is exact.
 	var rep ReplayReport
-	if err := json.Unmarshal(want, &rep); err != nil {
+	if err := json.Unmarshal(got, &rep); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range rep.Points {
