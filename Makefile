@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint speclint synth fuzz smoke-faults smoke-cluster smoke-overload smoke-speed smoke-replay ci bench bench-check bench-trace
+.PHONY: all build test race vet fmt lint speclint synth fuzz smoke-faults smoke-cluster smoke-overload smoke-replay ci bench bench-check bench-trace
 
 all: build
 
@@ -41,9 +41,12 @@ speclint:
 synth:
 	$(GO) run ./cmd/spechint -app all -synthesize
 
-# fuzz runs the native fault-containment fuzz target for a short budget.
+# fuzz runs the native fault-containment fuzz target and the fuzz targets of
+# the two user-input parsers (fault specs, assembly) for a short budget each.
 fuzz:
 	$(GO) test -fuzz=FuzzRun -fuzztime=10s -run '^$$' ./internal/core
+	$(GO) test -fuzz=FuzzFaultParse -fuzztime=10s -run '^$$' ./internal/fault
+	$(GO) test -fuzz=FuzzAssemble -fuzztime=10s -run '^$$' ./internal/asm
 
 # smoke runs the fault-injection degradation sweep at test scale.
 smoke-faults:
@@ -51,29 +54,23 @@ smoke-faults:
 
 # smoke-cluster runs the sharded-service sweep at test scale.
 smoke-cluster:
-	$(GO) run ./cmd/tipbench -cluster -cluster-shards 1,2 -scale test -json BENCH_cluster_test.json
+	$(GO) run ./cmd/tipbench -exp cluster -scale test -json BENCH_cluster_test.json
 
 # smoke-overload runs the admission-control/failover sweep at test scale.
 smoke-overload:
-	$(GO) run ./cmd/tipbench -overload -scale test -json BENCH_overload_test.json
+	$(GO) run ./cmd/tipbench -exp overload -scale test -json BENCH_overload_test.json
 
 # smoke-replay runs the trace-replay grid (modern apps in all modes plus the
 # capture→replay round trip) at test scale; the run itself fails on a
 # non-exact round trip.
 smoke-replay:
-	$(GO) run ./cmd/tipbench -replay -scale test -json BENCH_replay_test.json
+	$(GO) run ./cmd/tipbench -exp replay -scale test -json BENCH_replay_test.json
 
-# smoke-speed measures event-loop/VM/end-to-end throughput at test scale.
-# Wall numbers are machine-dependent; the committed trajectory lives in
-# bench/results/BENCH_speed.json (regenerate at full scale when the fast
-# paths change).
-smoke-speed:
-	$(GO) run ./cmd/tipbench -speed -scale test -json BENCH_speed_test.json
-
-ci: lint fmt build race speclint synth smoke-faults smoke-cluster smoke-overload smoke-speed smoke-replay fuzz
+ci: lint fmt build race speclint synth smoke-faults smoke-cluster smoke-overload smoke-replay fuzz
 
 # bench regenerates the canonical full-scale multiprogramming sweep into the
-# committed baseline under bench/results/ (expect minutes). Scratch runs that
+# committed baseline under bench/results/ (expect minutes; the sweep runs
+# once, and its text table and the JSON come from that one run). Scratch runs that
 # should stay out of git can still write BENCH_*.json anywhere else — the
 # ignore rules swallow those but keep bench/results/ tracked.
 bench:

@@ -13,13 +13,24 @@
 // Usage:
 //
 //	spechint -file prog.s [-dis] [-no-stack-opt] [-keep-output]
-//	spechint -app agrep|gnuld|xds [-dis]
+//	spechint -app agrep|gnuld|xds|postgres|lsm|mlshard [-dis]
 //	spechint -app all -lint          # verify the shadow text of every app
 //	spechint -app xds -analyze       # static hintability report
 //	spechint -app all -synthesize    # synthesize + verify static hints
+//
+// -app all names the paper's four applications (Agrep, Gnuld, XDataSlice,
+// Postgres).
+//
+// Exit codes:
+//
+//	0  success
+//	1  tool error (unreadable or malformed source, failed transform), lint
+//	   findings, or a synthesized hint the dynamic audit found unconsumed
+//	2  usage error: an unknown flag or -app name, or neither -file nor -app
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,122 +45,137 @@ import (
 	"spechint/internal/vm"
 )
 
+// paperApps is what -app all names.
+var paperApps = []apps.App{apps.Agrep, apps.Gnuld, apps.XDataSlice, apps.Postgres}
+
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, writes reports to stdout and
+// diagnostics to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("spechint", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		file       = flag.String("file", "", "assembly source file to transform")
-		app        = flag.String("app", "", "built-in benchmark to transform: agrep, gnuld, xds, or all")
-		dis        = flag.Bool("dis", false, "print the disassembly of the transformed program")
-		noStackOpt = flag.Bool("no-stack-opt", false, "disable the stack-copy optimization (check SP-relative accesses too)")
-		keepOutput = flag.Bool("keep-output", false, "keep output-routine calls in the shadow code")
-		analyze    = flag.Bool("analyze", false, "run the static hintability analysis instead of reporting transform stats")
-		lint       = flag.Bool("lint", false, "verify the transform invariants on the shadow text; nonzero exit on findings")
-		synthesize = flag.Bool("synthesize", false, "synthesize static hints; for built-in apps, also verify them against a dynamic run")
+		file       = flags.String("file", "", "assembly source file to transform")
+		app        = flags.String("app", "", "built-in benchmark to transform: agrep, gnuld, xds, postgres, lsm, mlshard, or all")
+		dis        = flags.Bool("dis", false, "print the disassembly of the transformed program")
+		noStackOpt = flags.Bool("no-stack-opt", false, "disable the stack-copy optimization (check SP-relative accesses too)")
+		keepOutput = flags.Bool("keep-output", false, "keep output-routine calls in the shadow code")
+		analyze    = flags.Bool("analyze", false, "run the static hintability analysis instead of reporting transform stats")
+		lint       = flags.Bool("lint", false, "verify the transform invariants on the shadow text; nonzero exit on findings")
+		synthesize = flags.Bool("synthesize", false, "synthesize static hints; for built-in apps, also verify them against a dynamic run")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	var list []apps.App
+	switch {
+	case *app == "all":
+		list = paperApps
+	case *app != "":
+		a, err := apps.Parse(*app)
+		if err != nil {
+			fmt.Fprintf(stderr, "spechint: -app: %v\n", err)
+			return 2
+		}
+		list = []apps.App{a}
+	}
+	if *file == "" && len(list) == 0 {
+		fmt.Fprintln(stderr, "spechint: one of -file or -app is required")
+		flags.Usage()
+		return 2
+	}
 
 	opt := spechint.DefaultOptions()
 	opt.StackCopyOptimization = !*noStackOpt
 	opt.RemoveOutputRoutines = !*keepOutput
 
+	var ok bool
+	var err error
 	if *synthesize {
-		if runSynthesize(*file, *app) {
-			return
-		}
-		os.Exit(1)
+		ok, err = runSynthesize(stdout, *file, list)
+	} else {
+		ok, err = runTransform(stdout, stderr, *file, list, opt, *analyze, *lint, *dis)
 	}
-
-	var progs []named
-	switch {
-	case *file != "":
-		src, err := os.ReadFile(*file)
-		if err != nil {
-			fail(err)
-		}
-		prog, err := asm.Assemble(string(src))
-		if err != nil {
-			fail(err)
-		}
-		progs = append(progs, named{*file, prog})
-	case *app == "all":
-		for _, a := range []apps.App{apps.Agrep, apps.Gnuld, apps.XDataSlice, apps.Postgres} {
-			progs = append(progs, named{a.String(), buildApp(a)})
-		}
-	case *app != "":
-		var a apps.App
-		switch *app {
-		case "agrep":
-			a = apps.Agrep
-		case "gnuld":
-			a = apps.Gnuld
-		case "xds", "xdataslice":
-			a = apps.XDataSlice
-		case "postgres":
-			a = apps.Postgres
-		default:
-			fail(fmt.Errorf("unknown app %q", *app))
-		}
-		progs = append(progs, named{a.String(), buildApp(a)})
-	default:
-		flag.Usage()
-		os.Exit(2)
+	if err != nil {
+		fmt.Fprintf(stderr, "spechint: %v\n", err)
+		return 1
 	}
-
-	bad := false
-	for _, np := range progs {
-		if len(progs) > 1 {
-			fmt.Printf("== %s ==\n", np.name)
-		}
-		if !run(np.prog, opt, *analyze, *lint, *dis) {
-			bad = true
-		}
+	if !ok {
+		return 1
 	}
-	if bad {
-		os.Exit(1)
-	}
+	return 0
 }
 
-type named struct {
-	name string
-	prog *vm.Program
+// runTransform handles every mode but -synthesize, over the -file program or
+// else each -app program. It returns false when lint found violations.
+func runTransform(w, errw io.Writer, file string, list []apps.App, opt spechint.Options, analyze, lint, dis bool) (bool, error) {
+	type named struct {
+		name string
+		prog *vm.Program
+	}
+	var progs []named
+	if file != "" {
+		prog, err := assembleFile(file)
+		if err != nil {
+			return false, err
+		}
+		progs = append(progs, named{file, prog})
+	} else {
+		for _, a := range list {
+			b, err := apps.Build(a, apps.FullScale())
+			if err != nil {
+				return false, err
+			}
+			progs = append(progs, named{a.String(), b.Original})
+		}
+	}
+
+	ok := true
+	for _, np := range progs {
+		if len(progs) > 1 {
+			fmt.Fprintf(w, "== %s ==\n", np.name)
+		}
+		clean, err := process(w, errw, np.prog, opt, analyze, lint, dis)
+		if err != nil {
+			return false, err
+		}
+		ok = ok && clean
+	}
+	return ok, nil
+}
+
+func assembleFile(path string) (*vm.Program, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return asm.Assemble(string(src))
 }
 
 // runSynthesize handles the -synthesize mode. For a -file program it prints
 // the confidence-ranked hint report; for built-in apps it also runs each app
 // in static mode and audits the synthesized hints against the dynamic
 // read-site statistics. It returns false if any hint failed verification.
-func runSynthesize(file, app string) bool {
+func runSynthesize(w io.Writer, file string, list []apps.App) (bool, error) {
 	if file != "" {
-		src, err := os.ReadFile(file)
+		prog, err := assembleFile(file)
 		if err != nil {
-			fail(err)
-		}
-		prog, err := asm.Assemble(string(src))
-		if err != nil {
-			fail(err)
+			return false, err
 		}
 		report, err := analysis.Synthesize(prog, analysis.Config{})
 		if err != nil {
-			fail(err)
+			return false, err
 		}
-		fmt.Print(report.String())
-		fmt.Println("(no workload for a -file program: dynamic verification skipped)")
-		return true
-	}
-
-	var list []apps.App
-	switch app {
-	case "all":
-		list = []apps.App{apps.Agrep, apps.Gnuld, apps.XDataSlice, apps.Postgres}
-	case "agrep":
-		list = []apps.App{apps.Agrep}
-	case "gnuld":
-		list = []apps.App{apps.Gnuld}
-	case "xds", "xdataslice":
-		list = []apps.App{apps.XDataSlice}
-	case "postgres":
-		list = []apps.App{apps.Postgres}
-	default:
-		fail(fmt.Errorf("-synthesize needs -file or -app agrep|gnuld|xds|postgres|all, got app %q", app))
+		fmt.Fprint(w, report.String())
+		fmt.Fprintln(w, "(no workload for a -file program: dynamic verification skipped)")
+		return true, nil
 	}
 
 	// Sweep scale matches the golden dynamic runs in bench/golden.
@@ -157,77 +183,66 @@ func runSynthesize(file, app string) bool {
 	ok := true
 	for _, a := range list {
 		if len(list) > 1 {
-			fmt.Printf("== %s ==\n", a)
+			fmt.Fprintf(w, "== %s ==\n", a)
 		}
 		b, err := apps.Build(a, scale)
 		if err != nil {
-			fail(err)
+			return false, err
 		}
 		report, err := bench.Synth(b)
 		if err != nil {
-			fail(err)
+			return false, err
 		}
-		fmt.Print(report.String())
+		fmt.Fprint(w, report.String())
 
 		st, _, err := bench.Run(a, core.ModeStatic, scale, nil)
 		if err != nil {
-			fail(err)
+			return false, err
 		}
 		findings := report.Verify(bench.DynStats(st))
 		if len(findings) == 0 {
-			fmt.Printf("dynamic verification: ok (%d hints, %d hinted reads, 0 bypassed)\n\n",
+			fmt.Fprintf(w, "dynamic verification: ok (%d hints, %d hinted reads, 0 bypassed)\n\n",
 				len(report.Hints), st.HintedReads)
 			continue
 		}
 		ok = false
-		fmt.Print(analysis.FormatFindings(b.Original, findings))
-		fmt.Println()
+		fmt.Fprint(w, analysis.FormatFindings(b.Original, findings))
+		fmt.Fprintln(w)
 	}
-	return ok
+	return ok, nil
 }
 
-func buildApp(a apps.App) *vm.Program {
-	bundle, err := apps.Build(a, apps.FullScale())
-	if err != nil {
-		fail(err)
-	}
-	return bundle.Original
-}
-
-// run processes one program; it returns false when lint found violations.
-func run(prog *vm.Program, opt spechint.Options, analyze, lint, dis bool) bool {
+// process handles one program; it returns false when lint found violations.
+func process(w, errw io.Writer, prog *vm.Program, opt spechint.Options, analyze, lint, dis bool) (bool, error) {
 	if analyze {
 		report, err := analysis.Classify(prog, analysis.DefaultConfig())
 		if err != nil {
-			fail(err)
+			return false, err
 		}
-		fmt.Print(report.String())
+		fmt.Fprint(w, report.String())
 		if lint {
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
 
 	if !analyze && !lint {
-		if err := reportTransform(os.Stdout, os.Stderr, prog, opt, dis); err != nil {
-			fail(err)
-		}
-		return true
+		return true, reportTransform(w, errw, prog, opt, dis)
 	}
 
 	if lint {
 		out, _, err := spechint.Transform(prog, opt)
 		if err != nil {
-			fail(err)
+			return false, err
 		}
 		findings := analysis.Lint(out, opt)
-		fmt.Print(analysis.FormatFindings(out, findings))
+		fmt.Fprint(w, analysis.FormatFindings(out, findings))
 		if dis {
-			fmt.Println()
-			fmt.Print(asm.Disassemble(out))
+			fmt.Fprintln(w)
+			fmt.Fprint(w, asm.Disassemble(out))
 		}
-		return len(findings) == 0
+		return len(findings) == 0, nil
 	}
-	return true
+	return true, nil
 }
 
 // reportTransform transforms prog and writes the statistics report to w.
@@ -253,9 +268,4 @@ func reportTransform(w, errw io.Writer, prog *vm.Program, opt spechint.Options, 
 		fmt.Fprint(w, asm.Disassemble(out))
 	}
 	return nil
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "spechint: %v\n", err)
-	os.Exit(1)
 }

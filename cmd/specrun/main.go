@@ -1,5 +1,5 @@
 // Command specrun runs an assembly program under the simulated testbed in
-// any of the three modes, optionally populating a simulated file system from
+// any of the four modes, optionally populating a simulated file system from
 // a host directory — the fastest way to watch SpecHint work on your own
 // program.
 //
@@ -7,6 +7,7 @@
 //
 //	specrun -file prog.s                         # original, 4 disks
 //	specrun -file prog.s -mode spec              # transform + speculate
+//	specrun -file prog.s -mode static            # statically synthesized hints
 //	specrun -file prog.s -mode spec -dual        # §5 multiprocessor
 //	specrun -file prog.s -dir ./inputs -disks 8  # host files -> sim fs
 //	specrun -file prog.s -mode spec -json        # stats as JSON on stdout
@@ -32,7 +33,8 @@
 //
 //	0  run completed and the program exited 0
 //	1  tool error (bad source, malformed trace, I/O error, simulation failure)
-//	2  usage error (including -file and -trace-file both present or both absent)
+//	2  usage error: an unknown flag, a -mode or -faults value that does not
+//	   parse, or -file and -trace-file both present or both absent
 //	3  virtual-cycle deadline exceeded
 //	4  run completed but the program exited nonzero
 package main
@@ -42,12 +44,15 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 
+	"spechint/internal/analysis"
 	"spechint/internal/asm"
+	"spechint/internal/bench"
 	"spechint/internal/core"
 	"spechint/internal/fault"
 	"spechint/internal/fsim"
@@ -59,41 +64,61 @@ import (
 )
 
 func main() {
-	var (
-		file   = flag.String("file", "", "assembly source file (this or -trace-file is required)")
-		mode   = flag.String("mode", "orig", "orig, spec, or manual")
-		disks  = flag.Int("disks", 4, "disks in the array")
-		cache  = flag.Int("cache", 12, "file cache size in MB")
-		dir    = flag.String("dir", "", "host directory to load into the simulated fs")
-		dual   = flag.Bool("dual", false, "run speculation on a second processor")
-		quiet  = flag.Bool("q", false, "suppress the program's own output")
-		trace  = flag.Int("trace", 0, "print up to N timeline events (reads, hints, restarts)")
-		jsonF  = flag.Bool("json", false, "emit the run's statistics as JSON on stdout")
-		ddline = flag.Int64("deadline", 0, "abort after this many virtual cycles (0 = default budget)")
-		faults = flag.String("faults", "", "fault-injection spec, e.g. rate=0.01,seed=42 (keys: "+
-			strings.Join(fault.Keys(), ", ")+")")
-		traceJSON   = flag.String("trace-json", "", "write the cross-layer trace as Chrome trace_event JSON to this file")
-		metricsJSON = flag.String("metrics-json", "", "write the sampled metric time series as JSON to this file")
-		traceFile   = flag.String("trace-file", "", "captured I/O trace to compile and replay (instead of -file)")
-		captureF    = flag.String("capture", "", "write the run's read stream as a replayable trace to this file")
-	)
-	flag.Parse()
-	if (*file == "") == (*traceFile == "") {
-		fmt.Fprintln(os.Stderr, "specrun: exactly one of -file or -trace-file is required")
-		flag.Usage()
-		os.Exit(2)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	var m core.Mode
-	switch *mode {
-	case "orig":
-		m = core.ModeNoHint
-	case "manual":
-		m = core.ModeManual
-	case "spec":
-		m = core.ModeSpeculating
-	default:
-		fail(fmt.Errorf("unknown mode %q", *mode))
+// run is the whole command: it parses args, writes the program's output and
+// any -json document to stdout and diagnostics to stderr, and returns the
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("specrun", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	var (
+		file   = flags.String("file", "", "assembly source file (this or -trace-file is required)")
+		mode   = flags.String("mode", "orig", "orig, spec, manual, or static")
+		disks  = flags.Int("disks", 4, "disks in the array")
+		cache  = flags.Int("cache", 12, "file cache size in MB")
+		dir    = flags.String("dir", "", "host directory to load into the simulated fs")
+		dual   = flags.Bool("dual", false, "run speculation on a second processor")
+		quiet  = flags.Bool("q", false, "suppress the program's own output")
+		trace  = flags.Int("trace", 0, "print up to N timeline events (reads, hints, restarts)")
+		jsonF  = flags.Bool("json", false, "emit the run's statistics as JSON on stdout")
+		ddline = flags.Int64("deadline", 0, "abort after this many virtual cycles (0 = default budget)")
+		faults = flags.String("faults", "", "fault-injection spec, e.g. rate=0.01,seed=42 (keys: "+
+			strings.Join(fault.Keys(), ", ")+")")
+		traceJSON   = flags.String("trace-json", "", "write the cross-layer trace as Chrome trace_event JSON to this file")
+		metricsJSON = flags.String("metrics-json", "", "write the sampled metric time series as JSON to this file")
+		traceFile   = flags.String("trace-file", "", "captured I/O trace to compile and replay (instead of -file)")
+		captureF    = flags.String("capture", "", "write the run's read stream as a replayable trace to this file")
+	)
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(err error) int {
+		fmt.Fprintf(stderr, "specrun: %v\n", err)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "specrun: %v\n", err)
+		return 1
+	}
+	if (*file == "") == (*traceFile == "") {
+		fmt.Fprintln(stderr, "specrun: exactly one of -file or -trace-file is required")
+		flags.Usage()
+		return 2
+	}
+	m, err := core.ParseMode(*mode)
+	if err != nil {
+		return usage(err)
+	}
+	var plan *fault.Plan
+	if *faults != "" {
+		if plan, err = fault.Parse(*faults); err != nil {
+			return usage(err)
+		}
 	}
 
 	// Resolve the program: assembly source, or a trace compiled to a replay
@@ -103,49 +128,58 @@ func main() {
 	if *traceFile != "" {
 		data, err := os.ReadFile(*traceFile)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		if replay, err = itrace.Parse(string(data)); err != nil {
-			fail(err)
+			return fail(err)
 		}
 		if prog, err = asm.Assemble(itrace.Source(replay, m == core.ModeManual)); err != nil {
-			fail(err)
+			return fail(err)
 		}
 	} else {
 		src, err := os.ReadFile(*file)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		if prog, err = asm.Assemble(string(src)); err != nil {
-			fail(err)
+			return fail(err)
 		}
 	}
-	var err error
+	cfg := core.DefaultConfig(m)
 	if m == core.ModeSpeculating {
 		var st spechint.Stats
 		prog, st, err = spechint.Transform(prog, spechint.DefaultOptions())
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "spechint: %d -> %d instructions, %d checks, %d hint sites\n",
+		fmt.Fprintf(stderr, "spechint: %d -> %d instructions, %d checks, %d hint sites\n",
 			st.OrigInstrs, st.TotalInstrs, st.ChecksAdded, st.HintSites)
+	}
+	if m == core.ModeStatic {
+		// Static mode runs the program as loaded, with hints synthesized
+		// offline from it and disclosed at start.
+		report, err := analysis.Synthesize(prog, analysis.Config{})
+		if err != nil {
+			return fail(err)
+		}
+		cfg.StaticHints = bench.StaticHints(report)
+		fmt.Fprintf(stderr, "synthesize: %d static hints\n", len(cfg.StaticHints))
 	}
 
 	vfs := fsim.New(8192)
 	workload.SetBenchLayout(vfs)
 	if *dir != "" {
 		if err := loadDir(vfs, *dir); err != nil {
-			fail(err)
+			return fail(err)
 		}
 	}
 	if replay != nil {
 		// Synthesize any file the trace reads that -dir did not provide.
 		if err := itrace.PopulateFS(vfs, replay); err != nil {
-			fail(err)
+			return fail(err)
 		}
 	}
 
-	cfg := core.DefaultConfig(m)
 	cfg.Disk = core.TestbedDisk(*disks)
 	cfg.TIP.CacheBlocks = *cache << 20 / cfg.Disk.BlockSize
 	cfg.DualProcessor = *dual
@@ -153,11 +187,7 @@ func main() {
 	if *ddline > 0 {
 		cfg.MaxCycles = *ddline
 	}
-	if *faults != "" {
-		if cfg.Faults, err = fault.Parse(*faults); err != nil {
-			fail(err)
-		}
-	}
+	cfg.Faults = plan
 	var tr *obs.Trace
 	if *traceJSON != "" || *metricsJSON != "" {
 		tr = obs.New(obs.Config{})
@@ -171,30 +201,34 @@ func main() {
 
 	sys, err := core.New(cfg, prog, vfs)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	st, err := sys.Run()
 	if errors.Is(err, core.ErrDeadline) {
-		fmt.Fprintf(os.Stderr, "specrun: deadline exceeded: the program did not finish within %d virtual cycles (%.3f testbed seconds)\n",
+		fmt.Fprintf(stderr, "specrun: deadline exceeded: the program did not finish within %d virtual cycles (%.3f testbed seconds)\n",
 			cfg.MaxCycles, float64(cfg.MaxCycles)/core.CPUHz)
-		os.Exit(3)
+		return 3
 	}
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 
 	if *traceJSON != "" {
-		writeExport(*traceJSON, tr.ChromeTraceJSON)
+		if err := writeExport(*traceJSON, tr.ChromeTraceJSON); err != nil {
+			return fail(err)
+		}
 	}
 	if *metricsJSON != "" {
-		writeExport(*metricsJSON, tr.MetricsJSON)
+		if err := writeExport(*metricsJSON, tr.MetricsJSON); err != nil {
+			return fail(err)
+		}
 	}
 	if capt != nil {
 		captured := capt.Trace()
 		if err := os.WriteFile(*captureF, []byte(itrace.Format(captured)), 0o644); err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "capture: %d records -> %s\n", len(captured.Recs), *captureF)
+		fmt.Fprintf(stderr, "capture: %d records -> %s\n", len(captured.Recs), *captureF)
 	}
 
 	if *jsonF {
@@ -204,55 +238,53 @@ func main() {
 			Stats   *core.RunStats `json:"stats"`
 		}{m.String(), st.Seconds(), st}, "", "  ")
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Println(string(out))
-		exitForProgram(st.ExitCode)
+		fmt.Fprintln(stdout, string(out))
+		return exitForProgram(st.ExitCode)
 	}
 
 	if !*quiet && st.Output != "" {
-		fmt.Print(st.Output)
+		fmt.Fprint(stdout, st.Output)
 		if st.Output[len(st.Output)-1] != '\n' {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "exit %d in %.3f testbed seconds (%d cycles)\n",
+	fmt.Fprintf(stderr, "exit %d in %.3f testbed seconds (%d cycles)\n",
 		st.ExitCode, st.Seconds(), st.Elapsed)
-	fmt.Fprintf(os.Stderr, "reads %d (%d hinted), stall %.3fs, restarts %d, signals %d\n",
+	fmt.Fprintf(stderr, "reads %d (%d hinted), stall %.3fs, restarts %d, signals %d\n",
 		st.ReadCalls, st.HintedReads,
 		float64(st.StallCycles())/core.CPUHz, st.Restarts, st.SpecSignals)
-	if *faults != "" {
-		fmt.Fprintf(os.Stderr, "faults: %d transient, %d spiked, %d dead; tip retries %d, demoted %d; read errors %d, fault restarts %d, degraded %v\n",
+	if plan != nil {
+		fmt.Fprintf(stderr, "faults: %d transient, %d spiked, %d dead; tip retries %d, demoted %d; read errors %d, fault restarts %d, degraded %v\n",
 			st.Disk.FaultedReqs, st.Disk.SpikedReqs, st.Disk.DeadReqs,
 			st.TipFaults.FetchRetries, st.TipFaults.DemotedBlocks,
 			st.ReadErrors, st.FaultRestarts, st.Degraded)
 	}
 	if *trace > 0 {
-		fmt.Fprint(os.Stderr, core.FormatTrace(sys.Events(), *trace, sys.DroppedEvents()))
+		fmt.Fprint(stderr, core.FormatTrace(sys.Events(), *trace, sys.DroppedEvents()))
 	}
-	exitForProgram(st.ExitCode)
+	return exitForProgram(st.ExitCode)
 }
 
 // exitForProgram maps the simulated program's exit code onto specrun's own:
 // 0 stays 0, anything else becomes the reserved code 4 ("program exited
 // nonzero") so the program can never collide with the tool's codes 1-3. The
 // program's actual code is in the stderr summary and the -json document.
-func exitForProgram(code int64) {
+func exitForProgram(code int64) int {
 	if code == 0 {
-		os.Exit(0)
+		return 0
 	}
-	os.Exit(4)
+	return 4
 }
 
 // writeExport renders one exporter to a file.
-func writeExport(path string, render func() ([]byte, error)) {
+func writeExport(path string, render func() ([]byte, error)) error {
 	data, err := render()
 	if err != nil {
-		fail(err)
+		return err
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fail(err)
-	}
+	return os.WriteFile(path, data, 0o644)
 }
 
 // loadDir copies a host directory tree into the simulated file system.
@@ -272,9 +304,4 @@ func loadDir(vfs *fsim.FS, dir string) error {
 		_, err = vfs.Create(filepath.ToSlash(rel), data)
 		return err
 	})
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "specrun: %v\n", err)
-	os.Exit(1)
 }

@@ -12,19 +12,35 @@
 //	tipbench -exp all          # everything, including the heavy sweeps
 //	tipbench -exp quick        # everything except the heavy sweeps
 //	tipbench -exp multi -multimax 4 -json BENCH_multi.json
+//	tipbench -exp replay -scale test -json BENCH_replay.json  # trace-replay grid + round trip
 //	tipbench -exp table4 -trace-json trace.json -trace-app gnuld
 //	tipbench -exp multi -trace-json trace.json   # trace a speculating group
 //	tipbench -exp fig5 -parallel 4               # bound the worker pool
-//	tipbench -replay -scale test -json BENCH_replay.json  # trace-replay grid + round trip
 //	tipbench -check bench/results/BENCH_multi.json
+//
+// Every experiment runs once and prints its text table. With -json, the
+// single experiment named by -exp must have a machine-readable face (multi,
+// faults, cluster, overload, replay); the same run is also written to the
+// file as JSON.
+//
+// Exit codes:
+//
+//	0  every requested experiment ran (and -check passed)
+//	1  an experiment, the -check comparison or a file write failed
+//	2  usage error: an unknown flag, experiment, scale or app, or a -json
+//	   request that does not name exactly one experiment with a JSON face;
+//	   flags and the experiment list are validated before anything runs
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -34,170 +50,80 @@ import (
 	"spechint/internal/obs"
 )
 
+// checkTolPct is the makespan drift tolerance of -check, in percent.
+const checkTolPct = 10
+
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, writes reports to stdout and
+// diagnostics to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tipbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		expFlag   = flag.String("exp", "quick", "experiment id(s), comma separated; or 'all' / 'quick'")
-		scaleFlag = flag.String("scale", "full", "workload scale: full, sweep, or test")
-		listFlag  = flag.Bool("list", false, "list available experiments")
-		multiMax  = flag.Int("multimax", 0, "largest group size for the multi experiment (0 keeps the default)")
-		jsonFlag  = flag.String("json", "", "also write the multi or faults sweep as JSON to this file")
-		traceJSON = flag.String("trace-json", "", "write a cross-layer Chrome trace_event JSON to this file "+
+		expFlag   = fs.String("exp", "quick", "experiment id(s), comma separated; or 'all' / 'quick'")
+		scaleFlag = fs.String("scale", "full", "workload scale: full, sweep, or test")
+		listFlag  = fs.Bool("list", false, "list available experiments")
+		multiMax  = fs.Int("multimax", 0, "largest group size for the multi experiment (0 keeps the default)")
+		jsonFlag  = fs.String("json", "", "also write the experiment's report as JSON to this file "+
+			"(exactly one of multi, faults, cluster, overload, replay)")
+		traceJSON = fs.String("trace-json", "", "write a cross-layer Chrome trace_event JSON to this file "+
 			"(a speculating group when -exp includes multi, else a solo speculating run of -trace-app)")
-		traceApp = flag.String("trace-app", "gnuld", "application for the solo -trace-json run: agrep, gnuld, xds, postgres")
-		parallel = flag.Int("parallel", runtime.NumCPU(),
+		traceApp = fs.String("trace-app", "gnuld", "application for the solo -trace-json run: agrep, gnuld, xds, postgres, lsm, mlshard")
+		parallel = fs.Int("parallel", runtime.NumCPU(),
 			"simulation cells run concurrently (1 = serial; output is byte-identical at any width)")
-		clusterFlag = flag.Bool("cluster", false,
-			"run the sharded-service sweep and print its JSON to stdout (or to -json's file)")
-		clusterShards = flag.String("cluster-shards", "",
-			"comma-separated shard counts for -cluster (default 1,2,4,8,16)")
-		speedFlag = flag.Bool("speed", false,
-			"measure event-loop/VM/end-to-end wall-clock throughput and print its JSON to stdout (or to -json's file)")
-		replayFlag = flag.Bool("replay", false,
-			"run the trace-replay grid (modern apps, all modes, capture→replay round trip) and print its JSON to stdout (or to -json's file)")
-		overloadFlag = flag.Bool("overload", false,
-			"run the overload sweep (admission control, shedding, failover) and print its JSON to stdout (or to -json's file)")
-		shedFlag = flag.String("shed", "both",
-			"admission arms for -overload: both, on, or off (off skips the failover cell)")
-		killShard = flag.Int("kill-shard", 1,
-			"shard the -overload failover cell kills mid-run (negative skips the failover cell)")
-		checkFlag = flag.String("check", "",
+		checkFlag = fs.String("check", "",
 			"run a fresh multi sweep and fail if it regresses from this baseline JSON")
-		checkTol = flag.Float64("check-tol", 10, "makespan drift tolerance for -check, in percent")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "tipbench: "+format+"\n", a...)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "tipbench: %v\n", err)
+		return 1
+	}
 
 	if *multiMax > 0 {
 		bench.MultiMaxN = *multiMax
 	}
 	if *parallel < 1 {
-		fmt.Fprintf(os.Stderr, "tipbench: -parallel must be >= 1, got %d\n", *parallel)
-		os.Exit(2)
+		return usage("-parallel must be >= 1, got %d", *parallel)
 	}
 	bench.Parallelism = *parallel
 
 	if *listFlag {
-		fmt.Println("available experiments:")
+		fmt.Fprintln(stdout, "available experiments:")
 		for _, n := range bench.Names() {
 			e := bench.Registry[n]
 			heavy := ""
 			if e.Heavy {
 				heavy = " (heavy sweep)"
 			}
-			fmt.Printf("  %-12s %s%s\n", n, e.Desc, heavy)
+			fmt.Fprintf(stdout, "  %-12s %s%s\n", n, e.Desc, heavy)
 		}
-		return
+		return 0
 	}
 
-	var scale apps.Scale
-	switch *scaleFlag {
-	case "full":
-		scale = apps.FullScale()
-	case "sweep":
-		scale = apps.SweepScale()
-	case "test":
-		scale = apps.TestScale()
-	default:
-		fmt.Fprintf(os.Stderr, "tipbench: unknown scale %q\n", *scaleFlag)
-		os.Exit(2)
-	}
-
-	if *clusterFlag {
-		shards := bench.ClusterShards
-		if *clusterShards != "" {
-			shards = shards[:0:0]
-			for _, f := range strings.Split(*clusterShards, ",") {
-				var n int
-				if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &n); err != nil || n < 1 {
-					fmt.Fprintf(os.Stderr, "tipbench: bad -cluster-shards entry %q\n", f)
-					os.Exit(2)
-				}
-				shards = append(shards, n)
-			}
-		}
-		out, err := bench.ClusterJSON(scale, shards)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tipbench: cluster: %v\n", err)
-			os.Exit(1)
-		}
-		out = append(out, '\n')
-		if *jsonFlag != "" {
-			if err := os.WriteFile(*jsonFlag, out, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "tipbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonFlag)
-			return
-		}
-		os.Stdout.Write(out)
-		return
-	}
-
-	if *speedFlag {
-		out, err := bench.SpeedJSONBytes(scale, *scaleFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tipbench: speed: %v\n", err)
-			os.Exit(1)
-		}
-		out = append(out, '\n')
-		if *jsonFlag != "" {
-			if err := os.WriteFile(*jsonFlag, out, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "tipbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonFlag)
-			return
-		}
-		os.Stdout.Write(out)
-		return
-	}
-
-	if *replayFlag {
-		out, err := bench.ReplayJSON(scale, *scaleFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tipbench: replay: %v\n", err)
-			os.Exit(1)
-		}
-		out = append(out, '\n')
-		if *jsonFlag != "" {
-			if err := os.WriteFile(*jsonFlag, out, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "tipbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonFlag)
-			return
-		}
-		os.Stdout.Write(out)
-		return
-	}
-
-	if *overloadFlag {
-		bench.OverloadArm = *shedFlag
-		bench.OverloadKillShard = *killShard
-		out, err := bench.OverloadJSON(scale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tipbench: overload: %v\n", err)
-			os.Exit(1)
-		}
-		out = append(out, '\n')
-		if *jsonFlag != "" {
-			if err := os.WriteFile(*jsonFlag, out, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "tipbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonFlag)
-			return
-		}
-		os.Stdout.Write(out)
-		return
+	scale, err := apps.ParseScale(*scaleFlag)
+	if err != nil {
+		return usage("%v", err)
 	}
 
 	if *checkFlag != "" {
-		if err := runCheck(*checkFlag, scale, *checkTol); err != nil {
-			fmt.Fprintf(os.Stderr, "tipbench: %v\n", err)
-			os.Exit(1)
+		if err := runCheck(*checkFlag, scale); err != nil {
+			return fail(err)
 		}
-		fmt.Printf("check passed: multi sweep matches %s (tolerance %g%%)\n", *checkFlag, *checkTol)
-		return
+		fmt.Fprintf(stdout, "check passed: multi sweep matches %s (tolerance %d%%)\n", *checkFlag, checkTolPct)
+		return 0
 	}
 
 	var names []string
@@ -211,54 +137,63 @@ func main() {
 			}
 		}
 	default:
-		names = strings.Split(*expFlag, ",")
+		for _, n := range strings.Split(*expFlag, ",") {
+			n = strings.TrimSpace(n)
+			if _, ok := bench.Registry[n]; !ok {
+				return usage("unknown experiment %q (have %s)", n, strings.Join(bench.Names(), ", "))
+			}
+			names = append(names, n)
+		}
+	}
+	if *jsonFlag != "" && (len(names) != 1 || !bench.Registry[names[0]].JSON) {
+		return usage("-json needs exactly one experiment with a JSON face (multi, faults, cluster, overload or replay), got %s",
+			strings.Join(names, ","))
+	}
+	traceMulti := slices.Contains(names, "multi")
+	var traceTarget apps.App
+	if *traceJSON != "" && !traceMulti {
+		if traceTarget, err = apps.Parse(*traceApp); err != nil {
+			return usage("-trace-app: %v", err)
+		}
 	}
 
+	var last bench.Report
 	for _, name := range names {
-		name = strings.TrimSpace(name)
 		start := time.Now()
-		fmt.Printf("==== %s ====\n", name)
-		if err := bench.RunByName(name, scale, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "tipbench: %s: %v\n", name, err)
-			os.Exit(1)
+		fmt.Fprintf(stdout, "==== %s ====\n", name)
+		rep, err := bench.RunByName(name, scale)
+		if err != nil {
+			return fail(fmt.Errorf("%s: %v", name, err))
 		}
-		fmt.Printf("(%s in %.1fs)\n\n", name, time.Since(start).Seconds())
+		io.WriteString(stdout, rep.String())
+		fmt.Fprintf(stdout, "(%s in %.1fs)\n\n", name, time.Since(start).Seconds())
+		last = rep
 	}
 
 	if *jsonFlag != "" {
-		// The JSON form follows the requested experiment: faults if the list
-		// names it, otherwise the multi sweep (the original behavior).
-		which, gen := "multi", func() ([]byte, error) { return bench.MultiJSON(scale, bench.MultiMaxN) }
-		for _, n := range names {
-			if strings.TrimSpace(n) == "faults" {
-				which, gen = "faults", func() ([]byte, error) { return bench.FaultsJSON(scale) }
-			}
-		}
-		out, err := gen()
+		out, err := json.MarshalIndent(last, "", "  ")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tipbench: %s json: %v\n", which, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		if err := os.WriteFile(*jsonFlag, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "tipbench: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		fmt.Printf("wrote %s\n", *jsonFlag)
+		fmt.Fprintf(stdout, "wrote %s\n", *jsonFlag)
 	}
 
 	if *traceJSON != "" {
-		if err := writeTrace(*traceJSON, *traceApp, names, scale); err != nil {
-			fmt.Fprintf(os.Stderr, "tipbench: trace: %v\n", err)
-			os.Exit(1)
+		if err := writeTrace(*traceJSON, traceMulti, traceTarget, scale); err != nil {
+			return fail(fmt.Errorf("trace: %v", err))
 		}
-		fmt.Printf("wrote %s\n", *traceJSON)
+		fmt.Fprintf(stdout, "wrote %s\n", *traceJSON)
 	}
+	return 0
 }
 
 // runCheck reruns the multi sweep at the baseline's own size and fails if
 // the result drifted outside tolerance or flipped a who-wins ordering
 // (see bench.CheckMulti). Used by make bench-check.
-func runCheck(path string, scale apps.Scale, tolPct float64) error {
+func runCheck(path string, scale apps.Scale) error {
 	baseline, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -272,63 +207,39 @@ func runCheck(path string, scale apps.Scale, tolPct float64) error {
 	if shape.MaxN < 1 {
 		return fmt.Errorf("baseline %s: missing max_n", path)
 	}
-	fresh, err := bench.MultiJSON(scale, shape.MaxN)
+	bench.MultiMaxN = shape.MaxN
+	rep, err := bench.RunByName("multi", scale)
 	if err != nil {
 		return err
 	}
-	return bench.CheckMulti(fresh, baseline, tolPct)
+	fresh, err := json.Marshal(rep)
+	if err != nil {
+		return err
+	}
+	return bench.CheckMulti(fresh, baseline, checkTolPct)
 }
 
 // writeTrace records one traced run and writes its Chrome trace_event JSON:
 // a speculating multi group when the experiment list names multi, otherwise a
-// solo speculating run of the requested application.
-func writeTrace(path, appName string, names []string, scale apps.Scale) error {
+// solo speculating run of app.
+func writeTrace(path string, forMulti bool, app apps.App, scale apps.Scale) error {
 	var tr *obs.Trace
-	forMulti := false
-	for _, n := range names {
-		if strings.TrimSpace(n) == "multi" {
-			forMulti = true
-		}
-	}
+	var err error
 	if forMulti {
 		n := bench.MultiMaxN
 		if n > 4 {
 			n = 4 // a readable trace, not the full sweep
 		}
-		var err error
-		if tr, _, err = bench.TraceMulti(scale, n); err != nil {
-			return err
-		}
+		tr, _, err = bench.TraceMulti(scale, n)
 	} else {
-		app, err := parseApp(appName)
-		if err != nil {
-			return err
-		}
-		if tr, _, err = bench.TraceRun(app, core.ModeSpeculating, scale); err != nil {
-			return err
-		}
+		tr, _, err = bench.TraceRun(app, core.ModeSpeculating, scale)
+	}
+	if err != nil {
+		return err
 	}
 	out, err := tr.ChromeTraceJSON()
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-func parseApp(name string) (apps.App, error) {
-	switch strings.ToLower(name) {
-	case "agrep":
-		return apps.Agrep, nil
-	case "gnuld", "ld":
-		return apps.Gnuld, nil
-	case "xds", "xdataslice":
-		return apps.XDataSlice, nil
-	case "postgres":
-		return apps.Postgres, nil
-	case "lsm":
-		return apps.LSM, nil
-	case "mlshard", "ml":
-		return apps.MLShard, nil
-	}
-	return 0, fmt.Errorf("unknown app %q (want agrep, gnuld, xds, postgres, lsm or mlshard)", name)
 }

@@ -17,6 +17,8 @@ package apps
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 
 	"spechint/internal/asm"
 	"spechint/internal/fsim"
@@ -57,6 +59,27 @@ func (a App) String() string {
 		return "MLShard"
 	}
 	return "unknown"
+}
+
+// Parse resolves an application name as the command-line tools spell it,
+// case-insensitively: agrep, gnuld (ld), xds (xdataslice), postgres, lsm or
+// mlshard (ml).
+func Parse(name string) (App, error) {
+	switch strings.ToLower(name) {
+	case "agrep":
+		return Agrep, nil
+	case "gnuld", "ld":
+		return Gnuld, nil
+	case "xds", "xdataslice":
+		return XDataSlice, nil
+	case "postgres":
+		return Postgres, nil
+	case "lsm":
+		return LSM, nil
+	case "mlshard", "ml":
+		return MLShard, nil
+	}
+	return 0, fmt.Errorf("unknown app %q (want agrep, gnuld, xds, postgres, lsm or mlshard)", name)
 }
 
 // Bundle is a fully prepared benchmark: file system plus the three program
@@ -226,6 +249,33 @@ func SweepScale() Scale {
 	s.MLShard.ShardSize = 1 << 20
 	s.MLShard.ReadSize = 32 << 10
 	return s
+}
+
+// scales names the preset scales, in the order ParseScale lists them.
+var scales = []struct {
+	name string
+	make func() Scale
+}{{"full", FullScale}, {"sweep", SweepScale}, {"test", TestScale}}
+
+// ParseScale resolves a preset scale by name: full, sweep or test.
+func ParseScale(name string) (Scale, error) {
+	for _, p := range scales {
+		if p.name == name {
+			return p.make(), nil
+		}
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q (want full, sweep or test)", name)
+}
+
+// ScaleName returns the name of the preset scale s equals, or "" for a
+// custom scale.
+func ScaleName(s Scale) string {
+	for _, p := range scales {
+		if reflect.DeepEqual(s, p.make()) {
+			return p.name
+		}
+	}
+	return ""
 }
 
 // WithProcess returns the scale adjusted for process i of a multiprogrammed

@@ -7,14 +7,6 @@ import (
 	"strings"
 )
 
-// multiDoc mirrors the JSON MultiJSON writes (and make bench commits to
-// bench/results/BENCH_multi.json).
-type multiDoc struct {
-	Experiment string       `json:"experiment"`
-	MaxN       int          `json:"max_n"`
-	Points     []MultiPoint `json:"points"`
-}
-
 // winMarginPct is the dead band for who-wins checks: a baseline
 // improvement smaller than this is treated as a tie, so a borderline cell
 // cannot flap the guard.
@@ -37,7 +29,7 @@ const winMarginPct = 2.0
 // changes with small numeric drift do not trip the guard, while shape
 // regressions always do.
 func CheckMulti(fresh, baseline []byte, tolPct float64) error {
-	var f, b multiDoc
+	var f, b multiReport
 	if err := json.Unmarshal(fresh, &f); err != nil {
 		return fmt.Errorf("bench: check: fresh sweep: %v", err)
 	}

@@ -8,7 +8,6 @@ package bench
 // the worker pool and stays byte-identical at any -parallel width.
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"spechint/internal/apps"
@@ -18,9 +17,8 @@ import (
 	"spechint/internal/multi"
 )
 
-// ClusterShards is the shard-count axis of the sweep; tipbench's
-// -cluster-shards flag overrides it.
-var ClusterShards = []int{1, 2, 4, 8, 16}
+// clusterShards is the shard-count axis of the sweep.
+var clusterShards = []int{1, 2, 4, 8, 16}
 
 // clusterLoad is one offered-load column: a label and the per-client mean
 // session inter-arrival time.
@@ -157,30 +155,39 @@ func clusterCell(scale apps.Scale, shards int, load clusterLoad) (ClusterPoint, 
 	return pt, nil
 }
 
+// clusterReport is the sharded-service sweep: the value the cluster
+// experiment renders as text and marshals as its JSON document (the CI
+// smoke job jq-validates the shape and the bucket-sum invariant).
+type clusterReport struct {
+	Experiment string         `json:"experiment"`
+	Shards     []int          `json:"shard_counts"`
+	Points     []ClusterPoint `json:"points"`
+}
+
 // clusterSweep runs every (shards, load) cell as a flat fan-out, load-major
 // so the table groups by load.
-func clusterSweep(scale apps.Scale, shardCounts []int) ([]ClusterPoint, error) {
+func clusterSweep(scale apps.Scale, shardCounts []int) (*clusterReport, error) {
 	if len(shardCounts) == 0 {
 		return nil, fmt.Errorf("bench: cluster sweep needs at least one shard count")
 	}
 	n := len(clusterLoads) * len(shardCounts)
-	return parMap(n, func(i int) (ClusterPoint, error) {
+	points, err := parMap(n, func(i int) (ClusterPoint, error) {
 		load := clusterLoads[i/len(shardCounts)]
 		return clusterCell(scale, shardCounts[i%len(shardCounts)], load)
 	})
+	if err != nil {
+		return nil, err
+	}
+	return &clusterReport{Experiment: "cluster", Shards: shardCounts, Points: points}, nil
 }
 
-// Cluster is the sharded-service experiment: the synthetic population
-// against 1..16 shards at two offered loads, reporting throughput, latency
-// tails and Jain fairness across clients.
-func Cluster(scale apps.Scale) (string, error) {
-	points, err := clusterSweep(scale, ClusterShards)
-	if err != nil {
-		return "", err
-	}
+// String renders the sharded-service experiment: the synthetic population
+// against each shard count at two offered loads, reporting throughput,
+// latency tails and Jain fairness across clients.
+func (r *clusterReport) String() string {
 	t := newTable("Sharded TIP service: synthetic population vs shard count (2 disks + 4 MB cache per shard)")
 	t.row("load", "shards", "offered (sess/s)", "reads/s", "mean (ms)", "p50 (ms)", "p99 (ms)", "p999 (ms)", "hinted", "Jain")
-	for _, pt := range points {
+	for _, pt := range r.Points {
 		t.row(pt.Load, fmt.Sprintf("%d", pt.Shards),
 			fmt.Sprintf("%.2f", pt.OfferedPerSec),
 			fmt.Sprintf("%.1f", pt.Throughput),
@@ -191,19 +198,5 @@ func Cluster(scale apps.Scale) (string, error) {
 			pct(pt.HintedPartPct),
 			fmt.Sprintf("%.3f", pt.Jain))
 	}
-	return t.String(), nil
-}
-
-// ClusterJSON runs the sweep and returns it machine-readable; the CI smoke
-// job jq-validates the shape and the bucket-sum invariant.
-func ClusterJSON(scale apps.Scale, shardCounts []int) ([]byte, error) {
-	points, err := clusterSweep(scale, shardCounts)
-	if err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(struct {
-		Experiment string         `json:"experiment"`
-		Shards     []int          `json:"shard_counts"`
-		Points     []ClusterPoint `json:"points"`
-	}{"cluster", shardCounts, points}, "", "  ")
+	return t.String()
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"spechint/internal/apps"
@@ -49,12 +48,21 @@ func faultPlan(rate float64) *fault.Plan {
 	return p
 }
 
+// faultsReport is the degradation sweep: the value the faults experiment
+// renders as text and marshals as its JSON document.
+type faultsReport struct {
+	Experiment string       `json:"experiment"`
+	Seed       int64        `json:"seed"`
+	Rates      []float64    `json:"rates"`
+	Points     []FaultPoint `json:"points"`
+}
+
 // faultsSweep runs the full (app, mode, rate) grid as one flat fan-out.
 // Each cell builds its own seeded fault plan (plans are stateful — their
 // RNG stream and burst maps advance per decision — so a plan must never be
 // shared across cells). The rate-0 baseline each SlowdownPct needs is
 // itself a cell; slowdowns are computed after the grid is assembled.
-func faultsSweep(scale apps.Scale) ([]FaultPoint, error) {
+func faultsSweep(scale apps.Scale) (*faultsReport, error) {
 	modes := []core.Mode{core.ModeNoHint, core.ModeSpeculating, core.ModeManual}
 	nr := len(FaultRates)
 	points, err := parMap(len(Apps)*len(modes)*nr, func(i int) (FaultPoint, error) {
@@ -99,47 +107,28 @@ func faultsSweep(scale apps.Scale) ([]FaultPoint, error) {
 			points[i].SlowdownPct = 100 * float64(points[i].elapsed-base) / float64(base)
 		}
 	}
-	return points, nil
+	return &faultsReport{Experiment: "faults", Seed: faultSeed, Rates: FaultRates, Points: points}, nil
 }
 
-// Faults is the graceful-degradation experiment: elapsed time and stall as
+// String renders the graceful-degradation experiment: elapsed time as
 // transient disk faults grow more frequent, for each app in each mode. The
 // reproduction target is the shape (see EXPERIMENTS.md): speculating tracks
 // manual's degradation curve, and no fault rate changes any program's output.
-func Faults(scale apps.Scale) (string, error) {
-	points, err := faultsSweep(scale)
-	if err != nil {
-		return "", err
-	}
+func (r *faultsReport) String() string {
 	t := newTable("Faults: elapsed time (s) vs transient-error rate (4 disks, seeded injection)")
 	header := []string{"Series"}
-	for _, r := range FaultRates {
-		header = append(header, fmt.Sprintf("%g", r))
+	for _, rate := range r.Rates {
+		header = append(header, fmt.Sprintf("%g", rate))
 	}
 	t.row(header...)
-	// points are grouped (app, mode) in sweep order, FaultRates per group.
-	for i := 0; i < len(points); i += len(FaultRates) {
-		group := points[i : i+len(FaultRates)]
+	// Points are grouped (app, mode) in sweep order, Rates per group.
+	for i := 0; i < len(r.Points); i += len(r.Rates) {
+		group := r.Points[i : i+len(r.Rates)]
 		cells := []string{group[0].App + " " + group[0].Mode}
 		for _, pt := range group {
 			cells = append(cells, fmt.Sprintf("%.2f", pt.ElapsedSec))
 		}
 		t.row(cells...)
 	}
-	return t.String(), nil
-}
-
-// FaultsJSON runs the sweep and returns it machine-readable (make bench
-// writes it to BENCH_faults.json).
-func FaultsJSON(scale apps.Scale) ([]byte, error) {
-	points, err := faultsSweep(scale)
-	if err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(struct {
-		Experiment string       `json:"experiment"`
-		Seed       int64        `json:"seed"`
-		Rates      []float64    `json:"rates"`
-		Points     []FaultPoint `json:"points"`
-	}{"faults", faultSeed, FaultRates, points}, "", "  ")
+	return t.String()
 }

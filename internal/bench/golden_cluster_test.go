@@ -18,9 +18,9 @@ var clusterGoldenPath = filepath.Join(goldenDir, "cluster_small.json")
 //
 //	go test ./internal/bench -run GoldenCluster -update
 func TestGoldenCluster(t *testing.T) {
-	got, err := ClusterJSON(apps.TestScale(), []int{2})
+	rep, err := clusterSweep(apps.TestScale(), []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, clusterGoldenPath, append(got, '\n'))
+	checkGolden(t, clusterGoldenPath, goldenJSON(t, rep))
 }

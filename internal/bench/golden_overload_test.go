@@ -19,11 +19,11 @@ var overloadGoldenPath = filepath.Join(goldenDir, "overload_small.json")
 //
 //	go test ./internal/bench -run GoldenOverload -update
 func TestGoldenOverload(t *testing.T) {
-	got, err := OverloadJSON(apps.TestScale())
+	rep, err := overloadSweep(apps.TestScale())
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, overloadGoldenPath, append(got, '\n'))
+	checkGolden(t, overloadGoldenPath, goldenJSON(t, rep))
 }
 
 // TestOverloadParallelWidths: the sweep is byte-identical whether its cells
@@ -33,16 +33,15 @@ func TestOverloadParallelWidths(t *testing.T) {
 	old := Parallelism
 	defer func() { Parallelism = old }()
 
-	Parallelism = 1
-	serial, err := OverloadJSON(apps.TestScale())
-	if err != nil {
-		t.Fatal(err)
+	render := func(width int) []byte {
+		Parallelism = width
+		rep, err := overloadSweep(apps.TestScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return goldenJSON(t, rep)
 	}
-	Parallelism = 8
-	wide, err := OverloadJSON(apps.TestScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, wide := render(1), render(8)
 	if !bytes.Equal(serial, wide) {
 		t.Fatalf("overload sweep depends on -parallel width: %d vs %d bytes, first diff at %d",
 			len(serial), len(wide), firstDiff(serial, wide))
@@ -56,10 +55,11 @@ func TestOverloadParallelWidths(t *testing.T) {
 // not lost to the detection window; every cell's counters conserve (checked
 // inside overloadCell).
 func TestOverloadAcceptance(t *testing.T) {
-	points, err := overloadSweep(apps.TestScale())
+	rep, err := overloadSweep(apps.TestScale())
 	if err != nil {
 		t.Fatal(err)
 	}
+	points := rep.Points
 	var atCap, deep *OverloadPoint
 	peak := 0.0
 	for i := range points {

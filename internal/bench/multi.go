@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"spechint/internal/apps"
@@ -47,6 +46,15 @@ type MultiPoint struct {
 	Procs          []MultiProc `json:"procs"`
 }
 
+// multiReport is the multiprogramming sweep: the value the multi
+// experiment renders as text and marshals as its JSON document (make bench
+// commits it to bench/results/BENCH_multi.json; -check compares against it).
+type multiReport struct {
+	Experiment string       `json:"experiment"`
+	MaxN       int          `json:"max_n"`
+	Points     []MultiPoint `json:"points"`
+}
+
 // multiSweep runs original and speculating groups at every size 1..maxN on
 // the shared testbed substrate. Per-process slowdown is measured against a
 // solo speculating run of the identical workload instance (same per-process
@@ -56,7 +64,7 @@ type MultiPoint struct {
 // Every simulation of the sweep — maxN solo baselines plus an original and
 // a speculating group per size — is an independent cell, dispatched as one
 // flat fan-out over the worker pool and reassembled in size order.
-func multiSweep(scale apps.Scale, maxN int) ([]MultiPoint, error) {
+func multiSweep(scale apps.Scale, maxN int) (*multiReport, error) {
 	if maxN < 1 {
 		return nil, fmt.Errorf("bench: multi sweep needs maxN >= 1, got %d", maxN)
 	}
@@ -135,24 +143,19 @@ func multiSweep(scale apps.Scale, maxN int) ([]MultiPoint, error) {
 		pt.Jain = multi.JainIndex(slowdowns)
 		points = append(points, pt)
 	}
-	return points, nil
+	return &multiReport{Experiment: "multi", MaxN: maxN, Points: points}, nil
 }
 
-// Multi is the multiprogramming experiment: N mixed processes (Agrep,
-// XDataSlice, Postgres, Gnuld round-robin) share one TIP cache and disk
-// array, originals vs speculating builds, for N = 1..MultiMaxN. It reports
+// String renders the multiprogramming experiment: N mixed processes
+// (Agrep, XDataSlice, Postgres, Gnuld round-robin) share one TIP cache and
+// disk array, originals vs speculating builds, for N = 1..MaxN. It reports
 // makespan for both modes, the improvement from speculation, completed
 // processes per second, and Jain's fairness index over per-process slowdowns
 // (turnaround in the group / turnaround running alone).
-func Multi(scale apps.Scale) (string, error) {
-	points, err := multiSweep(scale, MultiMaxN)
-	if err != nil {
-		return "", err
-	}
-
+func (r *multiReport) String() string {
 	t := newTable("Multiprogramming: N mixed processes on one shared TIP (4 disks, 12 MB cache)")
 	t.row("N", "original (s)", "speculating (s)", "improvement", "throughput (proc/s)", "Jain fairness")
-	for _, pt := range points {
+	for _, pt := range r.Points {
 		t.row(fmt.Sprintf("%d", pt.N),
 			fmt.Sprintf("%.2f", pt.OrigSec),
 			fmt.Sprintf("%.2f", pt.SpecSec),
@@ -162,7 +165,7 @@ func Multi(scale apps.Scale) (string, error) {
 	}
 	out := t.String()
 
-	last := points[len(points)-1]
+	last := r.Points[len(r.Points)-1]
 	bt := newTable(fmt.Sprintf("\nPer-process breakdown at N=%d (speculating)", last.N))
 	bt.row("Process", "App", "elapsed (s)", "solo (s)", "slowdown", "reads", "hints")
 	for _, p := range last.Procs {
@@ -173,19 +176,5 @@ func Multi(scale apps.Scale) (string, error) {
 			fmt.Sprintf("%d", p.ReadCalls),
 			fmt.Sprintf("%d", p.HintCalls))
 	}
-	return out + bt.String(), nil
-}
-
-// MultiJSON runs the sweep and returns it machine-readable (make bench
-// writes it to BENCH_multi.json).
-func MultiJSON(scale apps.Scale, maxN int) ([]byte, error) {
-	points, err := multiSweep(scale, maxN)
-	if err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(struct {
-		Experiment string       `json:"experiment"`
-		MaxN       int          `json:"max_n"`
-		Points     []MultiPoint `json:"points"`
-	}{"multi", maxN, points}, "", "  ")
+	return out + bt.String()
 }

@@ -18,7 +18,6 @@ package bench
 // and jq-asserts admitted + shed + failed == offered from the JSON.
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"spechint/internal/apps"
@@ -38,14 +37,8 @@ var OverloadMults = []float64{0.5, 1, 2, 4}
 // leaving a survivor for the failover cell.
 const OverloadShards = 2
 
-// OverloadKillShard is the shard the failover cell kills; tipbench's
-// -kill-shard flag overrides it (< 0 skips the failover cell).
-var OverloadKillShard = 1
-
-// OverloadArm selects which admission arms the sweep runs: "both" (the
-// default), "on" or "off". tipbench's -shed flag sets it. The failover cell
-// always runs with shedding on, so the "off" arm skips it.
-var OverloadArm = "both"
+// overloadKillShard is the shard the failover cell kills.
+const overloadKillShard = 1
 
 // overloadPopulation sizes the population at `mult` times the roughly
 // saturating level for OverloadShards testbed shards. The multiplier scales
@@ -217,7 +210,7 @@ func overloadCell(scale apps.Scale, mult float64, shed bool, plan *fault.Plan) (
 }
 
 // failoverCell is the shard-death cell: it first runs the same load without
-// a fault plan to learn the healthy run length, then kills OverloadKillShard
+// a fault plan to learn the healthy run length, then kills overloadKillShard
 // a third of the way through a fresh run. Deterministic by construction —
 // the probe run is itself deterministic, so the death time is too.
 func failoverCell(scale apps.Scale, mult float64) (OverloadPoint, error) {
@@ -226,50 +219,43 @@ func failoverCell(scale apps.Scale, mult float64) (OverloadPoint, error) {
 		return OverloadPoint{}, err
 	}
 	plan := fault.NewPlan(1)
-	plan.DieShard = OverloadKillShard
+	plan.DieShard = overloadKillShard
 	plan.DieShardAt = sim.Time(probe.ElapsedCycles / 3)
 	return overloadCell(scale, mult, true, plan)
 }
 
-// overloadSweep runs the (mult, shed) grid plus the failover cell as a flat
-// fan-out: shed-off cells first, then shed-on, then failover — the order the
-// table reads in. OverloadArm restricts the grid to one admission arm.
-func overloadSweep(scale apps.Scale) ([]OverloadPoint, error) {
-	var arms []bool
-	switch OverloadArm {
-	case "both":
-		arms = []bool{false, true}
-	case "on":
-		arms = []bool{true}
-	case "off":
-		arms = []bool{false}
-	default:
-		return nil, fmt.Errorf("bench: overload arm %q (want both, on or off)", OverloadArm)
-	}
-	n := len(arms) * len(OverloadMults)
-	failover := arms[len(arms)-1] && OverloadKillShard >= 0 && OverloadKillShard < OverloadShards
-	if failover {
-		n++
-	}
-	return parMap(n, func(i int) (OverloadPoint, error) {
-		if i == len(arms)*len(OverloadMults) {
-			return failoverCell(scale, 2)
-		}
-		mult := OverloadMults[i%len(OverloadMults)]
-		return overloadCell(scale, mult, arms[i/len(OverloadMults)], nil)
-	})
+// overloadReport is the overload sweep: the value the overload experiment
+// renders as text and marshals as its JSON document (the CI smoke job
+// jq-validates the conservation invariant from it).
+type overloadReport struct {
+	Experiment string          `json:"experiment"`
+	Mults      []float64       `json:"load_mults"`
+	Points     []OverloadPoint `json:"points"`
 }
 
-// Overload is the overload-survival experiment: offered load swept past
-// saturation with shedding off vs on, plus a mid-run shard kill.
-func Overload(scale apps.Scale) (string, error) {
-	points, err := overloadSweep(scale)
+// overloadSweep runs the (mult, shed) grid plus the failover cell as a flat
+// fan-out: shed-off cells first, then shed-on, then failover — the order the
+// table reads in.
+func overloadSweep(scale apps.Scale) (*overloadReport, error) {
+	nm := len(OverloadMults)
+	points, err := parMap(2*nm+1, func(i int) (OverloadPoint, error) {
+		if i == 2*nm {
+			return failoverCell(scale, 2)
+		}
+		return overloadCell(scale, OverloadMults[i%nm], i >= nm, nil)
+	})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
+	return &overloadReport{Experiment: "overload", Mults: OverloadMults, Points: points}, nil
+}
+
+// String renders the overload-survival experiment: offered load swept past
+// saturation with shedding off vs on, plus a mid-run shard kill.
+func (r *overloadReport) String() string {
 	t := newTable("Overload-safe cluster: admission control and failover (2 shards, 2 disks + 4 MB cache each)")
 	t.row("cell", "load", "clients", "offered", "admitted", "shed", "failed", "retries", "goodput (r/s)", "p50 (ms)", "p99 (ms)", "lost ops")
-	for _, pt := range points {
+	for _, pt := range r.Points {
 		name := "shed-off"
 		if pt.Shed {
 			name = "shed-on"
@@ -289,19 +275,5 @@ func Overload(scale apps.Scale) (string, error) {
 			fmt.Sprintf("%.2f", pt.ServedP99Ms),
 			fmt.Sprintf("%d", pt.FailedReads))
 	}
-	return t.String(), nil
-}
-
-// OverloadJSON runs the sweep and returns it machine-readable; the CI smoke
-// job jq-validates the conservation invariant from this output.
-func OverloadJSON(scale apps.Scale) ([]byte, error) {
-	points, err := overloadSweep(scale)
-	if err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(struct {
-		Experiment string          `json:"experiment"`
-		Mults      []float64       `json:"load_mults"`
-		Points     []OverloadPoint `json:"points"`
-	}{"overload", OverloadMults, points}, "", "  ")
+	return t.String()
 }

@@ -19,9 +19,10 @@ func withParallelism(w int, fn func()) {
 }
 
 // TestSerialParallelIdentical is the differential determinism check at the
-// heart of the fan-out design: every experiment in the registry must render
-// byte-identical output with -parallel 1 and a multi-worker pool. Cells are
-// simulated in whatever order the workers reach them; the assembled tables
+// heart of the fan-out design: every experiment in the registry must report
+// byte-identical output with -parallel 1 and a multi-worker pool, both its
+// text and, for an experiment with a JSON face, its JSON document. Cells are
+// simulated in whatever order the workers reach them; the assembled reports
 // must not care.
 func TestSerialParallelIdentical(t *testing.T) {
 	oldMax := MultiMaxN
@@ -35,56 +36,28 @@ func TestSerialParallelIdentical(t *testing.T) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			var serial, parallel bytes.Buffer
-			withParallelism(1, func() {
-				if err := RunByName(name, scale, &serial); err != nil {
-					t.Fatalf("serial: %v", err)
+			render := func(width int) (text, doc []byte) {
+				var rep Report
+				var err error
+				withParallelism(width, func() { rep, err = RunByName(name, scale) })
+				if err != nil {
+					t.Fatalf("-parallel %d: %v", width, err)
 				}
-			})
-			withParallelism(4, func() {
-				if err := RunByName(name, scale, &parallel); err != nil {
-					t.Fatalf("parallel: %v", err)
+				if Registry[name].JSON {
+					doc = goldenJSON(t, rep)
 				}
-			})
-			if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
+				return []byte(rep.String()), doc
+			}
+			serial, serialDoc := render(1)
+			parallel, parallelDoc := render(4)
+			if !bytes.Equal(serial, parallel) {
 				t.Fatalf("experiment %s renders differently serial vs parallel:\n--- serial ---\n%s\n--- parallel ---\n%s",
-					name, serial.Bytes(), parallel.Bytes())
+					name, serial, parallel)
+			}
+			if !bytes.Equal(serialDoc, parallelDoc) {
+				t.Fatalf("experiment %s JSON differs serial vs parallel:\n%s\nvs\n%s", name, serialDoc, parallelDoc)
 			}
 		})
-	}
-}
-
-// TestSerialParallelJSONIdentical covers the machine-readable exports the
-// committed baselines are built from: the multi and faults sweep JSON must
-// be byte-identical at any pool width.
-func TestSerialParallelJSONIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep JSON is heavy; skipped in -short")
-	}
-	scale := apps.TestScale()
-	var multiSerial, multiPar, faultsSerial, faultsPar []byte
-	var err error
-	withParallelism(1, func() {
-		if multiSerial, err = MultiJSON(scale, 2); err != nil {
-			t.Fatalf("serial multi: %v", err)
-		}
-		if faultsSerial, err = FaultsJSON(scale); err != nil {
-			t.Fatalf("serial faults: %v", err)
-		}
-	})
-	withParallelism(4, func() {
-		if multiPar, err = MultiJSON(scale, 2); err != nil {
-			t.Fatalf("parallel multi: %v", err)
-		}
-		if faultsPar, err = FaultsJSON(scale); err != nil {
-			t.Fatalf("parallel faults: %v", err)
-		}
-	})
-	if !bytes.Equal(multiSerial, multiPar) {
-		t.Errorf("multi sweep JSON differs serial vs parallel:\n%s\nvs\n%s", multiSerial, multiPar)
-	}
-	if !bytes.Equal(faultsSerial, faultsPar) {
-		t.Errorf("faults sweep JSON differs serial vs parallel:\n%s\nvs\n%s", faultsSerial, faultsPar)
 	}
 }
 

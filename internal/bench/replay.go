@@ -14,7 +14,6 @@ package bench
 //     row.
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"spechint/internal/apps"
@@ -51,7 +50,8 @@ type RoundTripResult struct {
 	BucketsOK bool   `json:"buckets_sum_ok"`
 }
 
-// ReplayReport is the JSON shape tipbench -replay emits; CI jq-checks it.
+// ReplayReport is the replay experiment's result: the value it renders as
+// text and marshals as its JSON document (CI jq-checks the document).
 type ReplayReport struct {
 	Schema    string            `json:"schema"`
 	Scale     string            `json:"scale"`
@@ -155,8 +155,9 @@ func replayGrid(scale apps.Scale) ([]*core.RunStats, error) {
 	})
 }
 
-// replayReport assembles the full report; both the text and JSON frontends
-// render from it so they cannot drift.
+// replayReport runs the who-wins grid over the modern apps plus the
+// capture→replay differential for the paper trio; scaleName labels the
+// document.
 func replayReport(scale apps.Scale, scaleName string) (*ReplayReport, error) {
 	grid, err := replayGrid(scale)
 	if err != nil {
@@ -202,13 +203,8 @@ func replayReport(scale apps.Scale, scaleName string) (*ReplayReport, error) {
 	return rep, nil
 }
 
-// Replay is the registry entry: the who-wins grid over the modern apps
-// plus the capture→replay differential for the paper trio.
-func Replay(scale apps.Scale) (string, error) {
-	rep, err := replayReport(scale, "")
-	if err != nil {
-		return "", err
-	}
+// String renders the report's two tables.
+func (rep *ReplayReport) String() string {
 	t := newTable("Trace replay: modern apps across all modes (4 disks)")
 	t.row("Benchmark", "Mode", "Elapsed(s)", "Improvement", "HintedReads")
 	for _, p := range rep.Points {
@@ -223,14 +219,5 @@ func Replay(scale apps.Scale) (string, error) {
 		t2.row(rt.App, fmt.Sprint(rt.Reads), fmt.Sprint(rt.Records),
 			fmt.Sprintf("%v", rt.Exact), fmt.Sprintf("%v", rt.BucketsOK))
 	}
-	return out + t2.String(), nil
-}
-
-// ReplayJSON renders the report for tipbench -replay.
-func ReplayJSON(scale apps.Scale, scaleName string) ([]byte, error) {
-	rep, err := replayReport(scale, scaleName)
-	if err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(rep, "", "  ")
+	return out + t2.String()
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"path/filepath"
 	"testing"
 
@@ -73,17 +72,13 @@ var replayGoldenPath = filepath.Join(goldenDir, "replay_small.json")
 //
 //	go test ./internal/bench -run GoldenReplay -update
 func TestGoldenReplay(t *testing.T) {
-	got, err := ReplayJSON(apps.TestScale(), "test")
+	rep, err := replayReport(apps.TestScale(), "test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, replayGoldenPath, append(got, '\n'))
-	// The canon, which got now equals, must carry the headline shape:
+	checkGolden(t, replayGoldenPath, goldenJSON(t, rep))
+	// The canon, which rep now renders, must carry the headline shape:
 	// speculation wins on every modern app and every round trip is exact.
-	var rep ReplayReport
-	if err := json.Unmarshal(got, &rep); err != nil {
-		t.Fatal(err)
-	}
 	for _, p := range rep.Points {
 		if p.Mode == "speculating" && p.ImprovementPct <= 0 {
 			t.Errorf("%s: canonical speculating improvement %.1f%% is not positive",

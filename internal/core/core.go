@@ -68,6 +68,22 @@ func (m Mode) String() string {
 	return "unknown"
 }
 
+// ParseMode resolves a mode as the command-line tools spell it: orig, spec,
+// manual or static.
+func ParseMode(name string) (Mode, error) {
+	switch name {
+	case "orig":
+		return ModeNoHint, nil
+	case "spec":
+		return ModeSpeculating, nil
+	case "manual":
+		return ModeManual, nil
+	case "static":
+		return ModeStatic, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q (want orig, spec, manual or static)", name)
+}
+
 // CPUHz is the simulated processor frequency (AlphaStation 255, 233 MHz);
 // used only to convert cycles to seconds in reports.
 const CPUHz = 233e6

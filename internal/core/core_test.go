@@ -521,3 +521,15 @@ func TestStaticHintsSkipMissingFiles(t *testing.T) {
 		t.Fatalf("BypassedSegs = %d, want 0", st.Tip.BypassedSegs)
 	}
 }
+
+func TestParseMode(t *testing.T) {
+	want := map[string]Mode{"orig": ModeNoHint, "spec": ModeSpeculating, "manual": ModeManual, "static": ModeStatic}
+	for name, mode := range want {
+		if got, err := ParseMode(name); err != nil || got != mode {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", name, got, err, mode)
+		}
+	}
+	if _, err := ParseMode("original"); err == nil {
+		t.Error(`ParseMode("original") accepted`)
+	}
+}

@@ -120,9 +120,10 @@ func (p *Plan) init() {
 // Validate reports a plan error, if any.
 func (p *Plan) Validate() error {
 	switch {
-	case p.Rate < 0 || p.Rate >= 1:
+	// Written as negated ranges so a NaN rate fails them too.
+	case !(p.Rate >= 0 && p.Rate < 1):
 		return fmt.Errorf("fault: rate %g, want [0, 1)", p.Rate)
-	case p.SpikeRate < 0 || p.SpikeRate >= 1:
+	case !(p.SpikeRate >= 0 && p.SpikeRate < 1):
 		return fmt.Errorf("fault: spike rate %g, want [0, 1)", p.SpikeRate)
 	case p.Burst < 1:
 		return fmt.Errorf("fault: burst %d, want >= 1", p.Burst)

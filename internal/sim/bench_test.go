@@ -107,23 +107,29 @@ func TestScheduleRunSteadyZeroAlloc(t *testing.T) {
 }
 
 // TestRunTickZeroAlloc pins the batched path: draining a warm queue tick by
-// tick must not allocate either.
+// tick must not allocate either, for a small burst per instant and for a
+// 64-event burst drained by one RunTick.
 func TestRunTickZeroAlloc(t *testing.T) {
-	q := NewQueue()
-	fn := func() {}
-	for i := 0; i < 256; i++ { // establish arena + free-list capacity
-		q.Schedule(Time(i%31), fn)
-	}
-	for q.RunTick() {
-	}
-	avg := testing.AllocsPerRun(128, func() {
-		at := q.Now() + 5
-		for j := 0; j < 8; j++ {
-			q.Schedule(at, fn)
+	for _, burst := range []int{8, 64} {
+		q := NewQueue()
+		fn := func() {}
+		for i := 0; i < 256; i++ { // establish arena + free-list capacity
+			q.Schedule(Time(i%31), fn)
 		}
-		q.RunTick()
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state RunTick cycle allocates %.2f objects/op, want 0", avg)
+		for q.RunTick() {
+		}
+		avg := testing.AllocsPerRun(128, func() {
+			at := q.Now() + 5
+			for j := 0; j < burst; j++ {
+				q.Schedule(at, fn)
+			}
+			q.RunTick()
+		})
+		if avg != 0 {
+			t.Fatalf("steady-state RunTick cycle with %d-event bursts allocates %.2f objects/op, want 0", burst, avg)
+		}
+		if q.Len() != 0 {
+			t.Fatalf("one RunTick left %d of a %d-event burst queued", q.Len(), burst)
+		}
 	}
 }
