@@ -51,7 +51,7 @@ type RoundTripResult struct {
 }
 
 // ReplayReport is the replay experiment's result: the value it renders as
-// text and marshals as its JSON document (CI jq-checks the document).
+// text and marshals as its JSON document (TestGoldenReplay checks its shape).
 type ReplayReport struct {
 	Schema    string            `json:"schema"`
 	Scale     string            `json:"scale"`

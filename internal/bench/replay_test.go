@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"path/filepath"
 	"testing"
 
@@ -76,21 +77,54 @@ func TestGoldenReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, replayGoldenPath, goldenJSON(t, rep))
-	// The canon, which rep now renders, must carry the headline shape:
-	// speculation wins on every modern app and every round trip is exact.
-	for _, p := range rep.Points {
-		if p.Mode == "speculating" && p.ImprovementPct <= 0 {
-			t.Errorf("%s: canonical speculating improvement %.1f%% is not positive",
-				p.App, p.ImprovementPct)
+	doc := goldenJSON(t, rep)
+	checkGolden(t, replayGoldenPath, doc)
+	checkReplayDoc(t, doc)
+}
+
+// checkReplayDoc asserts the headline shape of a test-scale replay JSON
+// document, reading it through its JSON field names as a consumer of
+// `tipbench -exp replay -json` would: the schema tag, two modern apps in
+// four modes, three round trips, speculation winning on every modern app,
+// every cell's stall buckets summing to its elapsed time, and every
+// capture→replay pass block-exact over a non-empty read stream.
+func checkReplayDoc(t *testing.T, doc []byte) {
+	t.Helper()
+	var d struct {
+		Schema string `json:"schema"`
+		Points []struct {
+			App         string  `json:"app"`
+			Mode        string  `json:"mode"`
+			Improvement float64 `json:"improvement_pct"`
+			BucketsOK   bool    `json:"buckets_sum_ok"`
+		} `json:"points"`
+		RoundTrip []struct {
+			App       string `json:"app"`
+			Reads     int    `json:"reads"`
+			Exact     bool   `json:"exact"`
+			BucketsOK bool   `json:"buckets_sum_ok"`
+		} `json:"roundtrip"`
+	}
+	if err := json.Unmarshal(doc, &d); err != nil {
+		t.Fatal(err)
+	}
+	if d.Schema != "tipbench-replay/v1" {
+		t.Errorf("schema %q, want tipbench-replay/v1", d.Schema)
+	}
+	if len(d.Points) != 8 || len(d.RoundTrip) != 3 {
+		t.Errorf("%d points and %d round trips, want 8 and 3", len(d.Points), len(d.RoundTrip))
+	}
+	for _, p := range d.Points {
+		if p.Mode == "speculating" && p.Improvement <= 0 {
+			t.Errorf("%s: speculating improvement %.1f%% is not positive", p.App, p.Improvement)
 		}
 		if !p.BucketsOK {
-			t.Errorf("%s/%s: canonical stall buckets do not sum", p.App, p.Mode)
+			t.Errorf("%s/%s: stall buckets do not sum to elapsed", p.App, p.Mode)
 		}
 	}
-	for _, rt := range rep.RoundTrip {
-		if !rt.Exact {
-			t.Errorf("%s: canonical round trip not exact", rt.App)
+	for _, rt := range d.RoundTrip {
+		if !rt.Exact || !rt.BucketsOK || rt.Reads <= 0 {
+			t.Errorf("%s: round trip exact=%v buckets_sum_ok=%v reads=%d", rt.App, rt.Exact, rt.BucketsOK, rt.Reads)
 		}
 	}
 }

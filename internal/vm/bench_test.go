@@ -1,6 +1,9 @@
 package vm
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // stepProg is a tight ALU/load/store/branch loop: r10 counts down from Imm,
 // each iteration does arithmetic plus a word store/load pair — the mix the
@@ -66,21 +69,64 @@ func BenchmarkVMRunSlice(b *testing.B) {
 	}
 }
 
-// TestRunZeroAlloc pins Run's allocation count at zero so a future change
-// that reintroduces per-slice closures (or lets a local escape) fails this
-// test instead of taxing every simulated instruction slice.
-func TestRunZeroAlloc(t *testing.T) {
-	m, err := NewMachine(stepProg(1<<62), &scriptOS{}, testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := m.NewThread("bench", Normal)
-	avg := testing.AllocsPerRun(200, func() {
-		if _, stop := m.Run(th, 1024); stop != StopBudget {
-			t.Fatalf("stop = %v (err %v)", stop, th.Err)
-		}
+// thinkProg is the spin loop trace.Source emits for a think record, with
+// the counter reloaded whenever it runs out: each pass spins iters
+// iterations of 3 cycles.
+func thinkProg(iters int64) *Program {
+	return prog([]Instr{
+		{Op: MOVI, Rd: 6, Imm: iters},
+		{Op: BEQ, Rs1: 6, Rs2: R0, Imm: 0}, // spin: a spent record starts the next
+		{Op: ADDI, Rd: 6, Rs1: 6, Imm: -1},
+		{Op: JMP, Imm: 1},
 	})
-	if avg != 0 {
-		t.Fatalf("Run allocates %.2f objects/slice, want 0", avg)
+}
+
+// BenchmarkVMThink runs one think record per op in 4096-cycle slices, the
+// way the scheduler runs a replay program. The countdown loop is fused at
+// decode, so a slice costs the same host time whether the record spins 10^6
+// or 10^8 cycles (compare the ns/slice metric), and the loop reports 0
+// allocs/op.
+func BenchmarkVMThink(b *testing.B) {
+	for _, cycles := range []int64{1e6, 1e8} {
+		b.Run(fmt.Sprintf("cycles=%.0e", float64(cycles)), func(b *testing.B) {
+			m, err := NewMachine(thinkProg(cycles/3), &scriptOS{}, testCfg())
+			if err != nil {
+				b.Fatal(err)
+			}
+			th := m.NewThread("think", Normal)
+			slices := (cycles + 4095) / 4096
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for s := int64(0); s < slices; s++ {
+					if _, stop := m.Run(th, 4096); stop != StopBudget {
+						b.Fatalf("stop = %v (err %v)", stop, th.Err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*slices), "ns/slice")
+		})
+	}
+}
+
+// TestRunZeroAlloc pins Run's allocation count at zero, on the ALU/memory
+// loop and on a fused spin loop, so a future change that reintroduces
+// per-slice closures (or lets a local escape) fails this test instead of
+// taxing every simulated instruction slice.
+func TestRunZeroAlloc(t *testing.T) {
+	for name, p := range map[string]*Program{"step": stepProg(1 << 62), "think": thinkProg(1 << 40)} {
+		m, err := NewMachine(p, &scriptOS{}, testCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		th := m.NewThread("bench", Normal)
+		avg := testing.AllocsPerRun(200, func() {
+			if _, stop := m.Run(th, 1024); stop != StopBudget {
+				t.Fatalf("%s: stop = %v (err %v)", name, stop, th.Err)
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("%s: Run allocates %.2f objects/slice, want 0", name, avg)
+		}
 	}
 }

@@ -11,7 +11,10 @@ package vm
 //   - the base cycle cost of every instruction (Default/Mul/Div/Syscall plus
 //     the speculative check surcharges) is precomputed into the entry;
 //   - the SP-discipline check predicate (Rd == SP on a non-store) becomes a
-//     flag bit instead of three comparisons per step.
+//     flag bit instead of three comparisons per step;
+//   - a countdown loop `L: beq r, r0, out; addi r, r, -1; jmp L` marks its
+//     beq as dSPIN, which Run executes as whole iterations in O(1) host time
+//     (see fuseSpins).
 //
 // The original []Instr stays on the Machine for diagnostics (fault messages
 // name the source opcode, not the decoded class).
@@ -54,6 +57,7 @@ const (
 	dJTR
 	dSYSCALL
 	dILLEGAL
+	dSPIN // beq heading a fused countdown loop (see fuseSpins); Run handles it in its default arm
 )
 
 // dInstr flag bits.
@@ -195,5 +199,34 @@ func decodeProgram(text []Instr, cost CostModel) []dInstr {
 			d.flags |= dfCheckSP
 		}
 	}
+	fuseSpins(dec)
 	return dec
+}
+
+// fuseSpins reclassifies the beq of every countdown loop
+//
+//	L: beq  r, r0, out
+//	   addi r, r, -1
+//	   jmp  L
+//
+// as dSPIN. Run retires as many whole iterations of such a loop as the
+// slice budget holds in one step, charging exactly the cycles, instruction
+// counts and register updates the three instructions would have, so the
+// fusion is invisible to everything but host time. Only the exact shape
+// fuses: the counter is not r0, none of the three carries a flag (so no
+// link and no SP check: an SP counter flags its addi with dfCheckSP), and
+// all three costs are positive (an iteration always advances the budget).
+// Entry at the addi or jmp, and any partial iteration at a budget edge, run
+// unfused.
+func fuseSpins(dec []dInstr) {
+	for i := 0; i+2 < len(dec); i++ {
+		b, a, j := &dec[i], &dec[i+1], &dec[i+2]
+		r := b.rs1
+		if b.class == dBEQ && b.flags == 0 && b.rs2 == R0 && r != R0 &&
+			a.class == dADDI && a.flags == 0 && a.rd == r && a.rs1 == r && a.imm == -1 &&
+			j.class == dJMP && j.flags == 0 && j.imm == int64(i) &&
+			b.cost > 0 && a.cost > 0 && j.cost > 0 {
+			b.class = dSPIN
+		}
+	}
 }

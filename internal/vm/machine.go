@@ -748,9 +748,35 @@ func (m *Machine) Run(t *Thread, budget int64) (int64, StopReason) {
 			}
 
 		default:
-			used += c
-			t.PC = pc
-			return m.finish(t, used, m.fault(t, "vm: illegal opcode %v at PC %d", m.text[pc].Op, pc))
+			if ins.class != dSPIN {
+				used += c
+				t.PC = pc
+				return m.finish(t, used, m.fault(t, "vm: illegal opcode %v at PC %d", m.text[pc].Op, pc))
+			}
+			// The head of a fused countdown loop (see fuseSpins). It sits
+			// outside the jump table because a case of its own costs the
+			// whole dispatch loop registers. Retire k whole iterations in
+			// one step: as many as the budget holds, and no more than the
+			// counter has left when it is positive (a negative counter
+			// wraps long after any budget). The PC stays on this beq. With
+			// k == 0 this is a plain beq, and the addi and jmp of a partial
+			// iteration run as themselves.
+			n := regs[ins.rs1]
+			if n == 0 {
+				nextPC = ins.imm
+				break
+			}
+			per := c + dec[pc+1].cost + dec[pc+2].cost
+			k := (budget - used) / per
+			if n > 0 && k > n {
+				k = n
+			}
+			if k > 0 {
+				regs[ins.rs1] = n - k
+				t.Instrs += 3*k - 1 // the beq itself was counted above
+				c = k * per
+				nextPC = pc
+			}
 		}
 
 		// Stack-pointer discipline: SpecHint places dynamic checks on
